@@ -33,12 +33,11 @@ from .gp import (
     KernelParams,
     LaplaceGPState,
     fit_hyperparams,
-    gp_entropy,
+    gp_entropy_many,
     kernel_matrix,
     laplace_fit,
-    predict_latent,
-    predict_proba,
-    rbf,
+    predict_latent_many,
+    predict_proba_many,
 )
 from .harness import (
     ExperimentConfig,
@@ -51,12 +50,13 @@ from .harness import (
     run_toy2d,
     write_report,
 )
-from .mcdropout import MCDropoutConfig, mc_average, mc_entropy, per_class_mean_entropy
+from .mcdropout import MCDropoutConfig, mc_average, mc_statistics, per_class_mean_entropy
 from .nnet import MLPParams, TrainConfig, backward, cross_entropy, encode, forward, mlp_init, train
 from .numerics import (
     RngStream,
     cholesky,
     entropy,
+    entropy_rows,
     gauss_hermite,
     softmax,
     solve_triangular,

@@ -21,14 +21,17 @@ from .errors import Divergence, NonFinite
 from .nnet import (
     MLPParams,
     TrainConfig,
+    _Adam,
+    _cross_entropy_rows,
     backward,
+    ensemble_softmax,
     flatten_params,
     forward,
     mlp_init,
     train,
     unflatten_params,
 )
-from .numerics import RngStream, derive_seed, softmax
+from .numerics import RngStream, derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -118,11 +121,8 @@ class PosteriorChain:
 
 def dataset_log_likelihood(omega, d: Dataset, layer_sizes) -> float:
     """log p(D|omega): negative summed cross-entropy over the full dataset."""
-    params = unflatten_params(omega, layer_sizes)
-    logits, _ = forward(params, d.features)
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(-np.sum(lse - z[np.arange(d.n_samples), d.labels]))
+    logits, _ = forward(unflatten_params(omega, layer_sizes), d.features)
+    return float(-np.sum(_cross_entropy_rows(logits, d.labels)))
 
 
 def log_posterior_and_grad(omega, d: Dataset, prior_precision: float, layer_sizes):
@@ -196,21 +196,23 @@ def _elbo_gradients(mu, rho, eps, loglik_grad, kl_weight, prior_precision):
     return d_mu, d_rho
 
 
-class _AdamVec:
-    """Adam on a single flat vector."""
+def _elbo_loop(theta, steps, loglik_grad, kl_weight, prior_precision, learning_rate, rng):
+    """Adam ascent of the ELBO over theta = [mu, rho], one update per item of steps.
 
-    def __init__(self, size, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, x, g):
-        self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        scale = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
-        x -= scale * self.m / (np.sqrt(self.v) + self.eps)
+    Each update draws eps from rng, then asks loglik_grad(omega, step) for the
+    full-data-scale gradient of log p(D|omega) at omega = mu + softplus(rho) * eps.
+    The closure raises Divergence when its likelihood is not finite. theta is
+    updated in place and returned.
+    """
+    n_params = theta.size // 2
+    opt = _Adam([theta.shape], learning_rate)
+    for step in steps:
+        mu, rho = theta[:n_params], theta[n_params:]
+        eps = rng.normal(n_params)
+        grad = loglik_grad(mu + softplus(rho) * eps, step)
+        d_mu, d_rho = _elbo_gradients(mu, rho, eps, grad, kl_weight, prior_precision)
+        opt.step([theta], [np.concatenate([d_mu, d_rho])])
+    return theta
 
 
 def elbo_ascent(
@@ -227,23 +229,22 @@ def elbo_ascent(
     """Generic full-batch ELBO ascent over (mu, rho) with Adam.
 
     loglik_and_grad(omega) must return (log p(D|omega), gradient) at full-data
-    scale. Used directly by small inference problems; mfvi_train wraps the
-    minibatched classification variant.
+    scale. Used directly by small inference problems; mfvi_train runs the same
+    loop over minibatches of a classification likelihood.
     """
-    rng = RngStream(seed)
     mu = np.zeros(n_params) if init_mu is None else np.array(init_mu, dtype=np.float64)
     rho = np.full(n_params, float(init_rho))
-    opt = _AdamVec(2 * n_params, learning_rate)
-    theta = np.concatenate([mu, rho])
-    for step in range(n_steps):
-        mu, rho = theta[:n_params], theta[n_params:]
-        eps = rng.normal(n_params)
-        omega = mu + softplus(rho) * eps
+
+    def loglik_grad(omega, step):
         value, grad = loglik_and_grad(omega)
         if not np.isfinite(value):
             raise Divergence(f"non-finite log-likelihood at step {step}")
-        d_mu, d_rho = _elbo_gradients(mu, rho, eps, grad, kl_weight, prior_precision)
-        opt.step(theta, np.concatenate([d_mu, d_rho]))
+        return grad
+
+    theta = _elbo_loop(
+        np.concatenate([mu, rho]), range(n_steps), loglik_grad,
+        kl_weight, prior_precision, learning_rate, RngStream(seed),
+    )
     return MeanFieldPosterior(mu=theta[:n_params].copy(), rho=theta[n_params:].copy())
 
 
@@ -267,29 +268,30 @@ def mfvi_train(
     rng = RngStream(seed)
     mu = flatten_params(mlp_init(sizes, rng=rng.substream(0)))
     n_params = mu.size
-    rho = np.full(n_params, -5.0)
-    theta = np.concatenate([mu, rho])
-    opt = _AdamVec(2 * n_params, learning_rate)
     n = d.n_samples
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            mu, rho = theta[:n_params], theta[n_params:]
-            eps = rng.normal(n_params)
-            omega = mu + softplus(rho) * eps
-            params = unflatten_params(omega, sizes)
-            mean_ce, grads = backward(params, d.features[idx], d.labels[idx])
-            if not np.isfinite(mean_ce):
-                raise Divergence(f"non-finite loss at epoch {epoch}")
-            loglik_grad = -n * flatten_params(MLPParams(grads))
-            d_mu, d_rho = _elbo_gradients(mu, rho, eps, loglik_grad, kl_weight, prior_precision)
-            opt.step(theta, np.concatenate([d_mu, d_rho]))
-            epoch_loss += mean_ce
-            n_batches += 1
-        log.debug("mfvi epoch %d: mean batch CE %.6f", epoch, epoch_loss / n_batches)
+    batch_ce = []
+
+    def batches():
+        # a generator, so each epoch's shuffle is drawn just before its first step's noise
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            batch_ce.clear()
+            for start in range(0, n, batch_size):
+                yield epoch, order[start : start + batch_size]
+            log.debug("mfvi epoch %d: mean batch CE %.6f", epoch, sum(batch_ce) / len(batch_ce))
+
+    def loglik_grad(omega, batch):
+        epoch, idx = batch
+        mean_ce, grads = backward(unflatten_params(omega, sizes), d.features[idx], d.labels[idx])
+        if not np.isfinite(mean_ce):
+            raise Divergence(f"non-finite loss at epoch {epoch}")
+        batch_ce.append(mean_ce)
+        return -n * flatten_params(MLPParams(grads))
+
+    theta = _elbo_loop(
+        np.concatenate([mu, np.full(n_params, -5.0)]), batches(), loglik_grad,
+        kl_weight, prior_precision, learning_rate, rng,
+    )
     return MeanFieldPosterior(
         mu=theta[:n_params].copy(), rho=theta[n_params:].copy(), layer_sizes=sizes
     )
@@ -432,10 +434,8 @@ def posterior_predict(samples, x, layer_sizes) -> np.ndarray:
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("need at least one posterior sample")
-    acc = None
-    for omega in samples:
-        params = unflatten_params(omega, layer_sizes)
-        logits, _ = forward(params, x)
-        probs = softmax(logits)
-        acc = probs if acc is None else acc + probs
-    return acc / samples.shape[0]
+
+    def logits(k):
+        return forward(unflatten_params(samples[k], layer_sizes), x)[0]
+
+    return ensemble_softmax(logits, samples.shape[0])

@@ -20,7 +20,6 @@ from .datasets import Dataset
 from .errors import DimensionMismatch, NoConvergence, NumericalError
 from .numerics import (
     binary_entropy,
-    entropy,
     gauss_hermite,
     jittered_cholesky,
     solve_triangular,
@@ -48,18 +47,8 @@ class KernelParams:
             raise ValueError(f"signal_variance must be finite and > 0, got {self.signal_variance}")
 
 
-def rbf(x, x2, params: KernelParams) -> float:
-    """RBF kernel value between two feature vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x.shape != x2.shape:
-        raise DimensionMismatch(f"input shapes differ: {x.shape} vs {x2.shape}")
-    sq = float(np.sum((x - x2) ** 2))
-    return params.signal_variance * float(np.exp(-sq / (2.0 * params.length_scale**2)))
-
-
 def kernel_matrix(a, b, params: KernelParams) -> np.ndarray:
-    """Cross-kernel matrix with entry (i, j) = rbf(a_i, b_j, params)."""
+    """Cross-kernel matrix with entry (i, j) = k(a_i, b_j) for the RBF kernel of params."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -283,12 +272,6 @@ def predict_latent_many(state: LaplaceGPState, x_star) -> tuple[np.ndarray, np.n
     return mean, var
 
 
-def predict_latent(state: LaplaceGPState, x_star) -> tuple[float, float]:
-    """Latent predictive (mean, variance) at a single test point."""
-    mean, var = predict_latent_many(state, np.asarray(x_star, dtype=np.float64)[None, :])
-    return float(mean[0]), float(var[0])
-
-
 _GH_ORDER = 50
 
 
@@ -308,17 +291,8 @@ def predict_proba_many(state: LaplaceGPState, x_star) -> np.ndarray:
     return np.column_stack([1.0 - p1, p1])
 
 
-def predict_proba(state: LaplaceGPState, x_star) -> np.ndarray:
-    """Link-integrated class probabilities [1 - pi*, pi*] at a single point."""
-    return predict_proba_many(state, np.asarray(x_star, dtype=np.float64)[None, :])[0]
-
-
-def gp_entropy(state: LaplaceGPState, x_star) -> float:
-    """Predictive entropy in nats at a single test point."""
-    return entropy(predict_proba(state, x_star))
-
-
 def gp_entropy_many(state: LaplaceGPState, x_star) -> np.ndarray:
+    """Predictive entropy in nats at each row of x_star."""
     probs = predict_proba_many(state, x_star)
     return binary_entropy(probs[:, 1])
 

@@ -280,7 +280,11 @@ def _train_config(opt: dict, prefix: str, seed: int, tag: str) -> TrainConfig:
     )
 
 
-def _build_gp_toy(d: Dataset, seed: int, opt: dict):
+# Method builders: each takes (training data, seed, options, model store) and
+# returns (batched class-1 predictor, method info, deterministic network or None).
+
+
+def _build_gp_toy(d: Dataset, seed: int, opt: dict, models: _ModelStore):
     grid = default_length_scale_grid(_grid_scale(opt, d.features), float(opt["gp.signal_variance"]))
     params, state = fit_hyperparams(d, grid, link=str(opt["gp.link"]))
     info = {
@@ -288,7 +292,7 @@ def _build_gp_toy(d: Dataset, seed: int, opt: dict):
         "log_marginal": state.log_marginal,
         "train_accuracy": training_accuracy(state),
     }
-    return (lambda pts: predict_proba_many(state, pts)[:, 1]), info
+    return (lambda pts: predict_proba_many(state, pts)[:, 1]), info, None
 
 
 def _build_mcdropout(d: Dataset, seed: int, opt: dict, models: _ModelStore):
@@ -333,7 +337,7 @@ def _build_mfvi(d: Dataset, seed: int, opt: dict, models: _ModelStore):
     )
     mean_net = posterior.mean_params()
     info = {"train_accuracy": accuracy(mean_net, d.features, d.labels)}
-    return (lambda pts: posterior_predict(draws, pts, arch)[:, 1]), info, posterior
+    return (lambda pts: posterior_predict(draws, pts, arch)[:, 1]), info, mean_net
 
 
 def _build_hmc(d: Dataset, seed: int, opt: dict, models: _ModelStore):
@@ -357,7 +361,33 @@ def _build_hmc(d: Dataset, seed: int, opt: dict, models: _ModelStore):
         "accept_rate": chain.accept_rate,
         "train_accuracy": float(np.mean(np.argmax(train_probs, axis=1) == d.labels)),
     }
-    return (lambda pts: posterior_predict(chain.samples, pts, arch)[:, 1]), info, chain
+    return (lambda pts: posterior_predict(chain.samples, pts, arch)[:, 1]), info, None
+
+
+_TOY_BUILDERS = {
+    "gp": _build_gp_toy,
+    "mcdropout": _build_mcdropout,
+    "mfvi": _build_mfvi,
+    "hmc": _build_hmc,
+}
+
+
+def _prepare_methods(
+    builders: dict, cfg: ExperimentConfig, d: Dataset, opt: dict, models: _ModelStore, test=None
+):
+    """Build every requested method; (predictors, method info) keyed by method.
+
+    With a test set, each method that has a deterministic network also records
+    its test accuracy.
+    """
+    predictors: dict = {}
+    method_info: dict = {}
+    for method in cfg.methods:
+        log.info("%s: preparing %s", cfg.experiment, method)
+        predictors[method], method_info[method], net = builders[method](d, cfg.seed, opt, models)
+        if test is not None and net is not None:
+            method_info[method]["test_accuracy"] = accuracy(net, test.features, test.labels)
+    return predictors, method_info
 
 
 def run_toy2d(cfg: ExperimentConfig) -> UncertaintyReport:
@@ -368,19 +398,7 @@ def run_toy2d(cfg: ExperimentConfig) -> UncertaintyReport:
     lo, hi = float(opt["grid_min"]), float(opt["grid_max"])
     points = grid2d(lo, hi, lo, hi, int(opt["resolution"]))
 
-    predictors: dict = {}
-    method_info: dict = {}
-    for method in cfg.methods:
-        log.info("toy2d: preparing %s", method)
-        if method == "gp":
-            predictors[method], method_info[method] = _build_gp_toy(d, cfg.seed, opt)
-        elif method == "mcdropout":
-            predictors[method], method_info[method], _ = _build_mcdropout(d, cfg.seed, opt, models)
-        elif method == "mfvi":
-            predictors[method], method_info[method], _ = _build_mfvi(d, cfg.seed, opt, models)
-        elif method == "hmc":
-            predictors[method], method_info[method], _ = _build_hmc(d, cfg.seed, opt, models)
-
+    predictors, method_info = _prepare_methods(_TOY_BUILDERS, cfg, d, opt, models)
     p1 = _evaluate_methods(predictors, points)
     report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
     report.metadata["method_info"] = method_info
@@ -459,7 +477,10 @@ def _build_gp_mnist(train01: Dataset, seed: int, opt: dict, models: _ModelStore)
     def predict(points):
         return predict_proba_many(state, encode(encoder, points, 2))[:, 1]
 
-    return predict, info, encoder
+    return predict, info, None
+
+
+_MNIST_BUILDERS = {**_TOY_BUILDERS, "gp": _build_gp_mnist}
 
 
 def run_mnist_interp(cfg: ExperimentConfig) -> UncertaintyReport:
@@ -474,27 +495,9 @@ def run_mnist_interp(cfg: ExperimentConfig) -> UncertaintyReport:
     probes = probe_sweep(test01, int(opt["n_pairs"]), t_grid, derive_seed(cfg.seed, "probes"))
     points = np.stack([vec for _, _, vec in probes])
 
-    predictors: dict = {}
-    method_info: dict = {}
-    for method in cfg.methods:
-        log.info("mnist-interp: preparing %s", method)
-        if method == "gp":
-            predictors[method], method_info[method], _ = _build_gp_mnist(train01, cfg.seed, opt, models)
-        elif method == "mcdropout":
-            predictors[method], method_info[method], params = _build_mcdropout(
-                train01, cfg.seed, opt, models
-            )
-            method_info[method]["test_accuracy"] = accuracy(params, test01.features, test01.labels)
-        elif method == "mfvi":
-            predictors[method], method_info[method], posterior = _build_mfvi(
-                train01, cfg.seed, opt, models
-            )
-            method_info[method]["test_accuracy"] = accuracy(
-                posterior.mean_params(), test01.features, test01.labels
-            )
-        elif method == "hmc":
-            predictors[method], method_info[method], _ = _build_hmc(train01, cfg.seed, opt, models)
-
+    predictors, method_info = _prepare_methods(
+        _MNIST_BUILDERS, cfg, train01, opt, models, test=test01
+    )
     p1 = _evaluate_methods(predictors, points)
     report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
     report.metadata["method_info"] = method_info

@@ -13,8 +13,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import EmptyResult
-from .nnet import MLPParams, forward
-from .numerics import RngStream, entropy, entropy_rows, softmax
+from .nnet import MLPParams, ensemble_softmax, forward
+from .numerics import RngStream, entropy_rows
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,17 @@ class MCDropoutConfig:
             raise ValueError("dropout_rate must be in (0, 1)")
 
 
-def _pass_stream(cfg: MCDropoutConfig, m: int) -> RngStream:
-    # per-pass substream: seed xor pass-index, so passes are independent and
-    # may run concurrently while the reduction stays in fixed index order
-    return RngStream(cfg.seed ^ m)
+def _dropout_passes(params: MLPParams, x, cfg: MCDropoutConfig):
+    """The dropout ensemble for ensemble_softmax: member m is stochastic pass m.
+
+    Pass m draws its masks from a stream seeded with seed xor m, so passes are
+    independent and may run concurrently while the reduction stays in fixed
+    index order.
+    """
+    def logits(m):
+        return forward(params, x, dropout_rate=cfg.dropout_rate, rng=RngStream(cfg.seed ^ m))[0]
+
+    return logits
 
 
 def mc_average(params: MLPParams, x, cfg: MCDropoutConfig) -> np.ndarray:
@@ -42,17 +49,7 @@ def mc_average(params: MLPParams, x, cfg: MCDropoutConfig) -> np.ndarray:
     Accepts a single feature vector or an (n, d) batch; batched inputs draw an
     independent mask per row within each pass.
     """
-    acc = None
-    for m in range(cfg.n_samples):
-        logits, _ = forward(params, x, dropout_rate=cfg.dropout_rate, rng=_pass_stream(cfg, m))
-        probs = softmax(logits)
-        acc = probs if acc is None else acc + probs
-    return acc / cfg.n_samples
-
-
-def mc_entropy(params: MLPParams, x, cfg: MCDropoutConfig) -> float:
-    """Entropy in nats of the averaged predictive distribution at one input."""
-    return entropy(mc_average(params, x, cfg))
+    return ensemble_softmax(_dropout_passes(params, x, cfg), cfg.n_samples)
 
 
 def mc_statistics(params: MLPParams, x, cfg: MCDropoutConfig):
@@ -61,20 +58,12 @@ def mc_statistics(params: MLPParams, x, cfg: MCDropoutConfig):
     Works on a single vector (scalars returned) or an (n, d) batch (arrays).
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    acc = None
-    ent_acc = None
-    for m in range(cfg.n_samples):
-        logits, _ = forward(params, x, dropout_rate=cfg.dropout_rate, rng=_pass_stream(cfg, m))
-        probs = softmax(np.atleast_2d(logits))
-        ent = entropy_rows(probs)
-        acc = probs if acc is None else acc + probs
-        ent_acc = ent if ent_acc is None else ent_acc + ent
-    mean_probs = acc / cfg.n_samples
-    mean_entropy = ent_acc / cfg.n_samples
+    mean_probs, mean_entropy = ensemble_softmax(
+        _dropout_passes(params, x, cfg), cfg.n_samples, with_entropy=True
+    )
     entropy_of_mean = entropy_rows(mean_probs)
-    if single:
-        return mean_probs[0], float(entropy_of_mean[0]), float(mean_entropy[0])
+    if x.ndim == 1:
+        return mean_probs, float(entropy_of_mean), float(mean_entropy)
     return mean_probs, entropy_of_mean, mean_entropy
 
 

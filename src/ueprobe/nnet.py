@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import DimensionMismatch, Divergence, NumericalError
-from .numerics import RngStream, softmax
+from .numerics import RngStream, entropy_rows, softmax
 
 log = logging.getLogger(__name__)
 
@@ -142,10 +142,15 @@ def cross_entropy(logits, label: int) -> float:
     return float(np.log(np.sum(np.exp(z - m))) + m - z[int(label)])
 
 
-def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log softmax(logits)[label] of a batch, via a stable log-sum-exp."""
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
+    return lse - z[np.arange(len(labels)), labels]
+
+
+def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(_cross_entropy_rows(logits, labels)))
 
 
 def backward(
@@ -213,6 +218,26 @@ class _Adam:
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             x -= scale * self.m[i] / (np.sqrt(self.v[i]) + self.eps)
+
+
+def ensemble_softmax(member_logits, n_members: int, with_entropy: bool = False):
+    """Mean softmax over an ensemble of n_members networks.
+
+    member_logits(m) returns member m's logits for a single input or a batch.
+    The members are summed one at a time in index order, so the result is
+    bit-reproducible. With with_entropy the mean per-member entropy (nats, per
+    row) comes back too, as (mean probs, mean entropy).
+    """
+    acc = ent_acc = None
+    for m in range(n_members):
+        probs = softmax(member_logits(m))
+        acc = probs if acc is None else acc + probs
+        if with_entropy:
+            ent = entropy_rows(probs)
+            ent_acc = ent if ent_acc is None else ent_acc + ent
+    if with_entropy:
+        return acc / n_members, ent_acc / n_members
+    return acc / n_members
 
 
 def train(params: MLPParams, d: Dataset, cfg: TrainConfig, loss_history: list | None = None) -> MLPParams:

@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .datasets import _read_exact
 from .errors import FormatError
 
 MAGIC = b"UEP1"
 
 _KINDS = ("mlp", "mfvi", "hmc-chain")
-
-
-def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) < count:
-        raise FormatError(f"truncated {what}: wanted {count} bytes, got {len(data)}")
-    return data
 
 
 def save_blob(path, kind: str, ints, arrays) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from ueprobe.bnn import HMCConfig, hmc_chain, leapfrog, log_posterior_and_grad
 from ueprobe.datasets import Dataset, grid2d, make_toy2d
-from ueprobe.gp import KernelParams, kernel_matrix, laplace_fit, predict_latent_many, predict_proba
+from ueprobe.gp import KernelParams, kernel_matrix, laplace_fit, predict_latent_many, predict_proba_many
 from ueprobe.harness import ExperimentConfig, run_digit_table, run_mnist_interp, run_theorem_check, run_toy2d, write_report
 from ueprobe.nnet import MLPParams, backward, flatten_params, forward, mlp_init, unflatten_params
 from ueprobe.numerics import LN2, RngStream, binary_entropy
@@ -220,7 +220,7 @@ def test_criterion_6b_logistic_quadrature(toy):
         zs = np.linspace(mean - 12 * np.sqrt(var), mean + 12 * np.sqrt(var), 1_000_001)
         density = np.exp(-0.5 * (zs - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
         oracle = np.trapezoid(density / (1.0 + np.exp(-zs)), zs)
-        worst = max(worst, abs(float(predict_proba(state, x_star)[1]) - oracle))
+        worst = max(worst, abs(float(predict_proba_many(state, x_star[None])[0, 1]) - oracle))
     assert worst < 1e-6
     _report_line("6b", f"max |gh50 - trapezoid| = {worst:.2e}")
 

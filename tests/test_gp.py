@@ -7,14 +7,11 @@ from ueprobe.gp import (
     KernelParams,
     default_length_scale_grid,
     fit_hyperparams,
-    gp_entropy,
+    gp_entropy_many,
     kernel_matrix,
     laplace_fit,
-    predict_latent,
     predict_latent_many,
-    predict_proba,
     predict_proba_many,
-    rbf,
     training_accuracy,
 )
 from ueprobe.numerics import LN2, jittered_cholesky, std_normal_cdf, std_normal_pdf
@@ -23,6 +20,17 @@ from ueprobe.numerics import LN2, jittered_cholesky, std_normal_cdf, std_normal_
 @pytest.fixture(scope="module")
 def toy_state(toy):
     return laplace_fit(toy, KernelParams(1.0, 1.0))
+
+
+def rbf(x, x2, params):
+    """One kernel value through the batched kernel_matrix."""
+    return float(kernel_matrix(x[None, :], x2[None, :], params)[0, 0])
+
+
+def rbf_direct(x, x2, params):
+    """The RBF definition written out, as an oracle for kernel_matrix."""
+    sq = float(np.sum((x - x2) ** 2))
+    return params.signal_variance * float(np.exp(-sq / (2.0 * params.length_scale**2)))
 
 
 class TestRbf:
@@ -67,7 +75,7 @@ class TestKernelMatrix:
         k = kernel_matrix(a, b, p)
         for i in range(5):
             for j in range(4):
-                assert abs(k[i, j] - rbf(a[i], b[j], p)) < 1e-15
+                assert abs(k[i, j] - rbf_direct(a[i], b[j], p)) < 1e-15
 
     def test_duplicate_points_need_jitter(self):
         x = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -155,20 +163,20 @@ class TestFitHyperparams:
 
     def test_selected_scale_gives_far_field_uncertainty(self, toy):
         _, state = fit_hyperparams(toy, [KernelParams(s) for s in (0.3, 1.0, 3.0)])
-        assert gp_entropy(state, np.array([6.0, 6.0])) > 0.6
+        assert gp_entropy_many(state, np.array([[6.0, 6.0]]))[0] > 0.6
 
 
 class TestPredictLatent:
     def test_far_point_prior_variance(self, toy_state):
-        mean, var = predict_latent(toy_state, np.array([40.0, 40.0]))
-        assert abs(mean) < 1e-10
-        assert abs(var - toy_state.params.signal_variance) < 1e-8
+        mean, var = predict_latent_many(toy_state, np.array([[40.0, 40.0]]))
+        assert abs(mean[0]) < 1e-10
+        assert abs(var[0] - toy_state.params.signal_variance) < 1e-8
 
     def test_training_point_reduces_variance(self):
         d = Dataset(np.array([[0.5]]), np.array([1]), source="probe")
         state = laplace_fit(d, KernelParams(1.0, 1.0))
-        _, var = predict_latent(state, np.array([0.5]))
-        assert var < state.params.signal_variance
+        _, var = predict_latent_many(state, np.array([[0.5]]))
+        assert var[0] < state.params.signal_variance
 
     def test_stable_form_matches_naive_inverse(self):
         # oracle: mean = k*' K^-1 f_hat, var = k** - k*' (K + W^-1)^-1 k*
@@ -198,23 +206,23 @@ class TestPredictProba:
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         d = Dataset(x, np.array([1, 0]), source="probe")
         state = laplace_fit(d, KernelParams(1.0, 1.0), tol=1e-12)
-        probs = predict_proba(state, np.array([0.0, 0.0]))
+        probs = predict_proba_many(state, np.array([[0.0, 0.0]]))[0]
         assert abs(probs[1] - 0.5) < 1e-12
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-15)
 
     def test_far_point_near_half(self, toy_state):
-        probs = predict_proba(state=toy_state, x_star=np.array([50.0, 50.0]))
+        probs = predict_proba_many(state=toy_state, x_star=np.array([[50.0, 50.0]]))[0]
         assert abs(probs[1] - 0.5) < 1e-6
 
     def test_logistic_matches_dense_trapezoid(self, toy):
         state = laplace_fit(toy, KernelParams(1.0, 1.0), link="logistic")
-        x_star = np.array([1.0, 0.5])
-        mean, var = predict_latent(state, x_star)
+        x_star = np.array([[1.0, 0.5]])
+        mean, var = (float(v[0]) for v in predict_latent_many(state, x_star))
         width = 12.0 * np.sqrt(var)
         zs = np.linspace(mean - width, mean + width, 1_000_001)
         density = np.exp(-0.5 * (zs - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
         oracle = np.trapezoid(density / (1.0 + np.exp(-zs)), zs)
-        probs = predict_proba(state, x_star)
+        probs = predict_proba_many(state, x_star)[0]
         assert abs(probs[1] - oracle) < 1e-6
 
     def test_logistic_quadrature_spec_point(self, toy):
@@ -254,15 +262,15 @@ class TestTheoremProperty:
                 if float(np.max(np.abs(k_star))) < eps:
                     break
                 radius += 0.25
-            p1 = predict_proba(toy_state, x)[1]
+            p1 = predict_proba_many(toy_state, x[None, :])[0, 1]
             assert abs(p1 - 0.5) < c * eps * n
 
     def test_entropy_saturates_far_field(self, toy_state):
-        assert abs(gp_entropy(toy_state, np.array([12.0, 12.0])) - LN2) < 1e-6
+        assert abs(gp_entropy_many(toy_state, np.array([[12.0, 12.0]]))[0] - LN2) < 1e-6
 
     def test_on_mode_confident(self, toy_state):
-        assert gp_entropy(toy_state, np.array([2.0, 2.0])) < 0.3
-        assert predict_proba(toy_state, np.array([2.0, 2.0]))[1] > 0.7
+        assert gp_entropy_many(toy_state, np.array([[2.0, 2.0]]))[0] < 0.3
+        assert predict_proba_many(toy_state, np.array([[2.0, 2.0]]))[0, 1] > 0.7
 
 
 class TestPredictionConsistency:

@@ -6,18 +6,22 @@ from ueprobe.errors import EmptyResult
 from ueprobe.mcdropout import (
     MCDropoutConfig,
     mc_average,
-    mc_entropy,
     mc_statistics,
     per_class_mean_entropy,
 )
 from ueprobe.nnet import TrainConfig, forward, mlp_init, train
-from ueprobe.numerics import LN2, RngStream, entropy, softmax
+from ueprobe.numerics import LN2, RngStream, entropy, entropy_rows, softmax
 
 
 @pytest.fixture(scope="module")
 def toy_net(toy):
     return train(mlp_init([2, 300, 2], seed=11), toy,
                  TrainConfig(epochs=50, dropout_rate=0.5, seed=13))
+
+
+def mc_entropy(params, x, cfg):
+    """Entropy in nats of the averaged predictive distribution at one input."""
+    return float(entropy_rows(mc_average(params, x, cfg)))
 
 
 class TestMcAverage:
@@ -108,6 +112,12 @@ class TestMcEntropy:
         assert probs.shape == (2,)
         assert isinstance(h_mean, float) and isinstance(mean_h, float)
         assert abs(entropy(probs) - h_mean) < 1e-12
+
+    def test_statistics_mean_matches_average_bitwise(self, toy_net):
+        pts = np.random.default_rng(5).uniform(-6, 6, size=(40, 2))
+        cfg = MCDropoutConfig(n_samples=12, dropout_rate=0.5, seed=8)
+        mean_probs = mc_statistics(toy_net, pts, cfg)[0]
+        np.testing.assert_array_equal(mean_probs, mc_average(toy_net, pts, cfg))
 
 
 class TestPerClassMeanEntropy:

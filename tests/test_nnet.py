@@ -8,15 +8,17 @@ from ueprobe.nnet import (
     TrainConfig,
     accuracy,
     backward,
+    _cross_entropy_rows,
     cross_entropy,
     encode,
+    ensemble_softmax,
     flatten_params,
     forward,
     mlp_init,
     train,
     unflatten_params,
 )
-from ueprobe.numerics import LN2, RngStream, softmax
+from ueprobe.numerics import LN2, RngStream, entropy_rows, softmax
 
 HARNESS_ARCHS = [
     [2, 300, 2],
@@ -131,6 +133,39 @@ class TestCrossEntropy:
     def test_label_range(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros(2), 2)
+
+    def test_rows_match_single_point(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(6, 4)) * 5.0
+        labels = rng.integers(0, 4, size=6)
+        rows = _cross_entropy_rows(logits, labels)
+        expected = [cross_entropy(z, int(y)) for z, y in zip(logits, labels)]
+        np.testing.assert_allclose(rows, expected, atol=1e-12)
+
+
+class TestEnsembleSoftmax:
+    def _members(self, n_members, shape):
+        rng = np.random.default_rng(4)
+        return [rng.normal(size=shape) * 3.0 for _ in range(n_members)]
+
+    def test_sequential_mean_in_member_order(self):
+        logits = self._members(7, (5, 3))
+        acc = softmax(logits[0])
+        for z in logits[1:]:
+            acc = acc + softmax(z)
+        np.testing.assert_array_equal(ensemble_softmax(logits.__getitem__, 7), acc / 7)
+
+    def test_single_member_is_its_softmax(self):
+        z = self._members(1, (3,))[0]
+        np.testing.assert_array_equal(ensemble_softmax(lambda m: z, 1), softmax(z) / 1)
+
+    def test_mean_entropy(self):
+        logits = self._members(4, (6, 2))
+        probs, mean_ent = ensemble_softmax(logits.__getitem__, 4, with_entropy=True)
+        np.testing.assert_array_equal(probs, ensemble_softmax(logits.__getitem__, 4))
+        expected = np.mean([entropy_rows(softmax(z)) for z in logits], axis=0)
+        np.testing.assert_allclose(mean_ent, expected, atol=1e-14)
+        assert np.all(entropy_rows(probs) >= mean_ent - 1e-12)
 
 
 class TestBackward:
