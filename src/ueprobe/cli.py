@@ -111,15 +111,7 @@ def main(argv=None) -> int:
                 continue
             options[key] = value
 
-    if args.methods:
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    elif args.experiment == "digit-table":
-        methods = ("mcdropout",)
-    elif args.experiment == "theorem-check":
-        methods = ("gp",)
-    else:
-        methods = METHODS
-
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()] if args.methods else None
     out_path = args.out or f"{args.experiment}.{args.format}"
     try:
         cfg = ExperimentConfig(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +106,12 @@ def grid2d(xmin: float, xmax: float, ymin: float, ymax: float, resolution: int) 
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) < count:
-        raise FormatError(f"truncated {what}: wanted {count} bytes, got {len(data)}")
+    """Read ``count`` bytes, checked against the bytes left in the file before
+    reading, so an untrusted header field never sizes an allocation."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    data = f.read(count) if 0 <= count <= left else b""
+    if len(data) != count:
+        raise FormatError(f"truncated {what}: wanted {count} bytes, {left} left")
     return data
 
 

@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ from .numerics import LN2, RngStream, binary_entropy, derive_seed
 log = logging.getLogger(__name__)
 
 METHODS = ("gp", "mcdropout", "mfvi", "hmc")
-EXPERIMENTS = ("toy2d", "mnist-interp", "digit-table", "theorem-check")
 
 
 @dataclass(frozen=True)
@@ -71,22 +69,27 @@ class UncertaintyReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment run; ``methods=None`` means every method the experiment accepts."""
+
     experiment: str
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] | None = None
     seed: int = 0
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}")
-        methods = tuple(self.methods)
+        accepted = _EXPERIMENTS[self.experiment][1]
+        methods = accepted if self.methods is None else tuple(self.methods)
         if not methods:
             raise ValueError("methods must be nonempty")
         for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}, expected subset of {METHODS}")
+            if m not in accepted:
+                raise ValueError(
+                    f"method {m!r} does not apply to {self.experiment}, expected subset of {accepted}"
+                )
         # canonical order regardless of how the caller listed them
-        object.__setattr__(self, "methods", tuple(m for m in METHODS if m in methods))
+        object.__setattr__(self, "methods", tuple(m for m in accepted if m in methods))
 
 
 def default_options(experiment: str) -> dict:
@@ -177,7 +180,6 @@ def default_options(experiment: str) -> dict:
         }
     if experiment == "theorem-check":
         return {
-            **common,
             "n_per_class": 200,
             "length_scale": 1.0,
             "signal_variance": 1.0,
@@ -202,14 +204,6 @@ def config_digest(cfg: ExperimentConfig) -> str:
     lines = [f"experiment={cfg.experiment}", f"seed={cfg.seed}", f"methods={','.join(cfg.methods)}"]
     lines += [f"{k}={opt[k]}" for k in sorted(opt)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def _eval_threads() -> int:
-    raw = os.environ.get("UE_PROBE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _file_sha256(path) -> str:
@@ -253,20 +247,6 @@ def _base_metadata(cfg: ExperimentConfig, opt: dict) -> dict:
         "options": {k: opt[k] for k in sorted(opt)},
         "model_hashes": {},
     }
-
-
-def _evaluate_methods(predictors: dict, points: np.ndarray) -> dict[str, np.ndarray]:
-    """Run each method's batched predictor over the shared probe set.
-
-    UE_PROBE_THREADS > 1 evaluates methods concurrently; results merge by
-    method name, so thread count never changes the output.
-    """
-    n_threads = min(_eval_threads(), len(predictors))
-    if n_threads <= 1:
-        return {m: np.asarray(fn(points), dtype=np.float64) for m, fn in predictors.items()}
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = {m: pool.submit(fn, points) for m, fn in predictors.items()}
-        return {m: np.asarray(fut.result(), dtype=np.float64) for m, fut in futures.items()}
 
 
 def _train_config(opt: dict, prefix: str, seed: int, tag: str) -> TrainConfig:
@@ -372,51 +352,48 @@ _TOY_BUILDERS = {
 }
 
 
-def _prepare_methods(
-    builders: dict, cfg: ExperimentConfig, d: Dataset, opt: dict, models: _ModelStore, test=None
-):
-    """Build every requested method; (predictors, method info) keyed by method.
+def _sweep(cfg: ExperimentConfig, opt: dict, builders: dict, train_data: Dataset,
+           points: np.ndarray, probes, test=None):
+    """Build every requested method on ``train_data`` and evaluate it at each
+    row of ``points``; ``probes`` holds one (probe_id, descriptor) per row.
 
     With a test set, each method that has a deterministic network also records
-    its test accuracy.
+    its test accuracy. Returns the validated report (rows method by method, in
+    canonical order) and each method's entropy per row.
     """
+    models = _ModelStore(opt.get("save_models"), opt.get("load_models"))
     predictors: dict = {}
     method_info: dict = {}
     for method in cfg.methods:
         log.info("%s: preparing %s", cfg.experiment, method)
-        predictors[method], method_info[method], net = builders[method](d, cfg.seed, opt, models)
+        predictors[method], method_info[method], net = builders[method](
+            train_data, cfg.seed, opt, models
+        )
         if test is not None and net is not None:
             method_info[method]["test_accuracy"] = accuracy(net, test.features, test.labels)
-    return predictors, method_info
+    report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
+    report.metadata["method_info"] = method_info
+    report.metadata["model_hashes"] = models.hashes
+    entropy = {}
+    for method in cfg.methods:
+        p1 = np.asarray(predictors[method](points), dtype=np.float64)
+        entropy[method] = binary_entropy(p1)
+        report.rows += [
+            ReportRow(probe_id, method, descriptor, float(p), float(h))
+            for (probe_id, descriptor), p, h in zip(probes, p1, entropy[method])
+        ]
+    report.validate()
+    return report, entropy
 
 
 def run_toy2d(cfg: ExperimentConfig) -> UncertaintyReport:
     """Train each requested method on the 2D toy data and sweep the eval grid."""
     opt = merged_options(cfg)
-    models = _ModelStore(opt.get("save_models"), opt.get("load_models"))
     d = make_toy2d(int(opt["n_per_class"]), cfg.seed)
     lo, hi = float(opt["grid_min"]), float(opt["grid_max"])
     points = grid2d(lo, hi, lo, hi, int(opt["resolution"]))
-
-    predictors, method_info = _prepare_methods(_TOY_BUILDERS, cfg, d, opt, models)
-    p1 = _evaluate_methods(predictors, points)
-    report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
-    report.metadata["method_info"] = method_info
-    report.metadata["model_hashes"] = models.hashes
-    for method in cfg.methods:
-        ent = binary_entropy(p1[method])
-        for i, (x, y) in enumerate(points):
-            report.rows.append(
-                ReportRow(
-                    probe_id=f"grid_{i:05d}",
-                    method=method,
-                    descriptor=f"x={x:.9g};y={y:.9g}",
-                    p_class1=float(p1[method][i]),
-                    entropy_nats=float(ent[i]),
-                )
-            )
-    report.validate()
-    return report
+    probes = [(f"grid_{i:05d}", f"x={x:.9g};y={y:.9g}") for i, (x, y) in enumerate(points)]
+    return _sweep(cfg, opt, _TOY_BUILDERS, d, points, probes)[0]
 
 
 def _load_mnist_pair(opt: dict, split: str) -> Dataset:
@@ -486,75 +463,37 @@ _MNIST_BUILDERS = {**_TOY_BUILDERS, "gp": _build_gp_mnist}
 def run_mnist_interp(cfg: ExperimentConfig) -> UncertaintyReport:
     """Interpolation sweep: random 0/1 test pairs probed along t in [-1, 2]."""
     opt = merged_options(cfg)
-    models = _ModelStore(opt.get("save_models"), opt.get("load_models"))
-    train_full = _load_mnist_pair(opt, "train")
-    test_full = _load_mnist_pair(opt, "test")
-    train01 = filter_classes(train_full, {0, 1})
-    test01 = filter_classes(test_full, {0, 1})
+    train01 = filter_classes(_load_mnist_pair(opt, "train"), {0, 1})
+    test01 = filter_classes(_load_mnist_pair(opt, "test"), {0, 1})
     t_grid = np.linspace(-1.0, 2.0, int(opt["t_steps"]))
-    probes = probe_sweep(test01, int(opt["n_pairs"]), t_grid, derive_seed(cfg.seed, "probes"))
-    points = np.stack([vec for _, _, vec in probes])
-
-    predictors, method_info = _prepare_methods(
-        _MNIST_BUILDERS, cfg, train01, opt, models, test=test01
-    )
-    p1 = _evaluate_methods(predictors, points)
-    report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
-    report.metadata["method_info"] = method_info
-    report.metadata["model_hashes"] = models.hashes
-    mean_curves: dict = {}
     n_t = len(t_grid)
-    for method in cfg.methods:
-        ent = binary_entropy(p1[method])
-        for j, (pair_id, t, _) in enumerate(probes):
-            report.rows.append(
-                ReportRow(
-                    probe_id=f"pair{pair_id:03d}_t{j % n_t:02d}",
-                    method=method,
-                    descriptor=f"pair={pair_id};t={t:.9g}",
-                    p_class1=float(p1[method][j]),
-                    entropy_nats=float(ent[j]),
-                )
-            )
-        curve = ent.reshape(-1, n_t).mean(axis=0)
-        mean_curves[method] = {f"{t:.9g}": float(v) for t, v in zip(t_grid, curve)}
-    report.metadata["mean_entropy_per_t"] = mean_curves
+    sweep = probe_sweep(test01, int(opt["n_pairs"]), t_grid, derive_seed(cfg.seed, "probes"))
+    points = np.stack([vec for _, _, vec in sweep])
+    probes = [
+        (f"pair{pair_id:03d}_t{j % n_t:02d}", f"pair={pair_id};t={t:.9g}")
+        for j, (pair_id, t, _) in enumerate(sweep)
+    ]
+    report, entropy = _sweep(cfg, opt, _MNIST_BUILDERS, train01, points, probes, test=test01)
+    report.metadata["mean_entropy_per_t"] = {
+        method: {f"{t:.9g}": float(v) for t, v in zip(t_grid, ent.reshape(-1, n_t).mean(axis=0))}
+        for method, ent in entropy.items()
+    }
     report.metadata["t_grid"] = [float(t) for t in t_grid]
-    report.validate()
     return report
 
 
 def run_digit_table(cfg: ExperimentConfig) -> UncertaintyReport:
     """Per-digit mean MCDropout entropy over the full test set (0/1 training)."""
     opt = merged_options(cfg)
-    models = _ModelStore(opt.get("save_models"), opt.get("load_models"))
-    train_full = _load_mnist_pair(opt, "train")
+    train01 = filter_classes(_load_mnist_pair(opt, "train"), {0, 1})
     test_full = _load_mnist_pair(opt, "test")
-    train01 = filter_classes(train_full, {0, 1})
-
-    predict, info, _ = _build_mcdropout(train01, cfg.seed, opt, models)
-    p1 = predict(test_full.features)
-    ent = binary_entropy(p1)
-
-    report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
-    report.metadata["methods"] = ["mcdropout"]
-    report.metadata["method_info"] = {"mcdropout": info}
-    report.metadata["model_hashes"] = models.hashes
-    for i, label in enumerate(test_full.labels):
-        report.rows.append(
-            ReportRow(
-                probe_id=f"digit{int(label)}_{i:05d}",
-                method="mcdropout",
-                descriptor=f"class={int(label)}",
-                p_class1=float(p1[i]),
-                entropy_nats=float(ent[i]),
-            )
-        )
-    per_digit = {
-        str(c): float(np.mean(ent[test_full.labels == c])) for c in test_full.classes
+    labels = test_full.labels
+    probes = [(f"digit{int(c)}_{i:05d}", f"class={int(c)}") for i, c in enumerate(labels)]
+    report, entropy = _sweep(cfg, opt, _MNIST_BUILDERS, train01, test_full.features, probes)
+    ent = entropy["mcdropout"]
+    report.metadata["per_digit_mean_entropy"] = {
+        str(c): float(np.mean(ent[labels == c])) for c in test_full.classes
     }
-    report.metadata["per_digit_mean_entropy"] = per_digit
-    report.validate()
     return report
 
 
@@ -608,7 +547,6 @@ def run_theorem_check(cfg: ExperimentConfig) -> UncertaintyReport:
         )
 
     report = UncertaintyReport(rows=rows, metadata=_base_metadata(cfg, opt))
-    report.metadata["methods"] = ["gp"]
     report.metadata["theorem"] = {
         "bound_constant": bound_c,
         "n_train": n,
@@ -650,16 +588,18 @@ def run_theorem_check(cfg: ExperimentConfig) -> UncertaintyReport:
     return report
 
 
-_RUNNERS = {
-    "toy2d": run_toy2d,
-    "mnist-interp": run_mnist_interp,
-    "digit-table": run_digit_table,
-    "theorem-check": run_theorem_check,
+# experiment -> (runner, the methods it accepts, which are also its default)
+_EXPERIMENTS = {
+    "toy2d": (run_toy2d, METHODS),
+    "mnist-interp": (run_mnist_interp, METHODS),
+    "digit-table": (run_digit_table, ("mcdropout",)),
+    "theorem-check": (run_theorem_check, ("gp",)),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> UncertaintyReport:
-    return _RUNNERS[cfg.experiment](cfg)
+    return _EXPERIMENTS[cfg.experiment][0](cfg)
 
 
 def _fmt(value: float) -> str:
@@ -708,5 +648,5 @@ def write_report(report: UncertaintyReport, path, fmt: str = "csv") -> None:
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with store.atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(payload)

@@ -7,10 +7,17 @@ Layout (little-endian throughout):
     ints    u32 count, then i64 values (layer sizes and similar metadata)
     arrays  u32 count, then per array: u32 ndim, u64 dims, float64 payload
 
-FormatError is raised on bad magic, unknown kind, or truncation.
+FormatError is raised on bad magic, unknown kind, truncation, or a header
+that sizes more data than the file holds. Writes go to a temporary file beside
+the target that replaces it only once complete.
 """
 
 from __future__ import annotations
+
+import math
+import os
+import secrets
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,10 +29,31 @@ MAGIC = b"UEP1"
 _KINDS = ("mlp", "mfvi", "hmc-chain")
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file in ``path``'s directory that replaces ``path`` on
+    success; on an exception it is removed and ``path`` is left untouched.
+
+    No fsync: this guards against interrupted writes, not power loss.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        # exclusive create with the umask's permissions (mkstemp would force 0600)
+        with open(tmp, mode.replace("w", "x"), **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_blob(path, kind: str, ints, arrays) -> None:
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(MAGIC)
         tag = kind.encode("ascii")
         f.write(bytes([len(tag)]))
@@ -46,7 +74,7 @@ def load_blob(path) -> tuple[str, list[int], list[np.ndarray]]:
         if _read_exact(f, 4, "magic") != MAGIC:
             raise FormatError(f"bad magic in {path}")
         tag_len = _read_exact(f, 1, "kind")[0]
-        kind = _read_exact(f, tag_len, "kind").decode("ascii")
+        kind = _read_exact(f, tag_len, "kind").decode("ascii", "replace")
         if kind not in _KINDS:
             raise FormatError(f"unknown kind {kind!r} in {path}")
         n_ints = int(np.frombuffer(_read_exact(f, 4, "int count"), "<u4")[0])
@@ -58,9 +86,12 @@ def load_blob(path) -> tuple[str, list[int], list[np.ndarray]]:
             shape = tuple(
                 int(v) for v in np.frombuffer(_read_exact(f, 8 * ndim, f"array {i} shape"), "<u8")
             )
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             data = np.frombuffer(_read_exact(f, 8 * count, f"array {i} payload"), "<f8")
-            arrays.append(data.reshape(shape).copy())
+            try:
+                arrays.append(data.reshape(shape).copy())
+            except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+                raise FormatError(f"array {i} has unusable shape {shape}: {exc}") from None
     return kind, ints, arrays
 
 

@@ -76,6 +76,24 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_method_outside_experiment_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "thm.csv"
+        code = main(["theorem-check", "--methods", "mcdropout", "--out", str(out)])
+        assert code == 1
+        assert "does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theorem_check_ignores_save_models(self, tmp_path, caplog):
+        out = tmp_path / "thm.json"
+        code = main([
+            "theorem-check", "--save-models", str(tmp_path / "models"),
+            "--out", str(out), "--format", "json",
+        ])
+        assert code == 0
+        assert "save_models does not apply to theorem-check; ignored" in caplog.text
+        assert "save_models" not in json.loads(out.read_text())["metadata"]["options"]
+        assert not (tmp_path / "models").exists()
+
     def test_unknown_option_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("bogus_key=1\n")

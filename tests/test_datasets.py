@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idxio import write_idx_images, write_idx_labels
+from test_store import damaged
 from ueprobe.datasets import (
     Dataset,
     InterpolationProbe,
@@ -106,6 +109,28 @@ class TestLoadIdx:
         write_idx_labels(tmp_path / "labs", np.zeros(2, dtype=np.uint8))
         with pytest.raises(FormatError):
             load_idx(tmp_path / "imgs", tmp_path / "labs")
+
+    def test_header_sizing_beyond_file(self, tmp_path):
+        # n * rows * cols is about 2**64 bytes: rejected before any read
+        header = b"".join(v.to_bytes(4, "big") for v in (0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
+        (tmp_path / "imgs").write_bytes(header)
+        write_idx_labels(tmp_path / "labs", np.zeros(1, dtype=np.uint8))
+        with pytest.raises(FormatError, match="truncated image payload"):
+            load_idx(tmp_path / "imgs", tmp_path / "labs")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_pair_loads_or_raises_format_error(self, tmp_path, data):
+        paths = {"imgs": tmp_path / "imgs", "labs": tmp_path / "labs"}
+        write_idx_images(paths["imgs"], np.arange(36, dtype=np.uint8).reshape(3, 3, 4))
+        write_idx_labels(paths["labs"], np.array([0, 1, 1], dtype=np.uint8))
+        target = paths[data.draw(st.sampled_from(sorted(paths)), label="file")]
+        target.write_bytes(damaged(data, target.read_bytes()))
+        try:
+            load_idx(paths["imgs"], paths["labs"])
+        except FormatError:
+            pass
 
     def test_missing_file(self, tmp_path):
         write_idx_labels(tmp_path / "labs", np.zeros(1, dtype=np.uint8))

@@ -6,6 +6,8 @@ import pytest
 
 from ueprobe.errors import CheckFailure, NumericalError
 from ueprobe.harness import (
+    EXPERIMENTS,
+    METHODS,
     ExperimentConfig,
     ReportRow,
     UncertaintyReport,
@@ -130,6 +132,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="toy2d", methods=("gp", "oracle"))
 
+    @pytest.mark.parametrize("experiment, methods", [
+        ("digit-table", ["gp"]),
+        ("theorem-check", ["mcdropout"]),
+    ])
+    def test_method_outside_experiment_rejected(self, experiment, methods):
+        with pytest.raises(ValueError, match="does not apply"):
+            ExperimentConfig(experiment=experiment, methods=methods)
+
+    def test_default_methods_per_experiment(self):
+        defaults = {e: ExperimentConfig(experiment=e).methods for e in EXPERIMENTS}
+        assert defaults == {
+            "toy2d": METHODS,
+            "mnist-interp": METHODS,
+            "digit-table": ("mcdropout",),
+            "theorem-check": ("gp",),
+        }
+
     def test_methods_canonical_order(self):
         cfg = ExperimentConfig(experiment="toy2d", methods=("hmc", "gp"))
         assert cfg.methods == ("gp", "hmc")
@@ -178,15 +197,6 @@ class TestToy2d:
         write_report(tiny_toy_report, a, "csv")
         write_report(rep2, b, "csv")
         assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_count_does_not_change_results(self, tiny_toy_report, monkeypatch):
-        monkeypatch.setenv("UE_PROBE_THREADS", "3")
-        cfg = ExperimentConfig(experiment="toy2d", methods=("gp", "mcdropout", "mfvi", "hmc"),
-                               seed=5, options=TINY_TOY)
-        rep = run_toy2d(cfg)
-        a = {(r.probe_id, r.method): r.p_class1 for r in tiny_toy_report.rows}
-        b = {(r.probe_id, r.method): r.p_class1 for r in rep.rows}
-        assert a == b
 
     def test_save_then_load_models(self, tmp_path):
         opts = dict(TINY_TOY, save_models=str(tmp_path / "models"))
