@@ -21,10 +21,8 @@ from .bnn import (
 )
 from .datasets import (
     Dataset,
-    InterpolationProbe,
     filter_classes,
     grid2d,
-    interpolate,
     load_idx,
     make_toy2d,
     probe_sweep,
@@ -50,7 +48,7 @@ from .harness import (
     run_toy2d,
     write_report,
 )
-from .mcdropout import MCDropoutConfig, mc_average, mc_statistics, per_class_mean_entropy
+from .mcdropout import MCDropoutConfig, mc_average, mc_statistics
 from .nnet import MLPParams, TrainConfig, backward, cross_entropy, encode, forward, mlp_init, train
 from .numerics import (
     RngStream,

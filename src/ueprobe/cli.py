@@ -22,32 +22,13 @@ from .harness import (
 
 log = logging.getLogger(__name__)
 
-
-def parse_value(raw: str):
-    """key=value parser: int, float, bool, comma list of ints, or string."""
-    text = raw.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if "," in text:
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            return parts
-    return text
+_FLAG_OPTIONS = ("mnist_train_images", "mnist_train_labels", "mnist_test_images",
+                "mnist_test_labels", "save_models", "load_models")
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value file; blank lines and # comments are ignored."""
+    """Flat key=value file of raw text values, each read later by its option's
+    declared type; blank lines and # comments are ignored."""
     options = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -57,7 +38,7 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            options[key.strip()] = parse_value(value)
+            options[key.strip()] = value.strip()
     return options
 
 
@@ -75,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         help=f"comma-separated subset of {','.join(METHODS)} (default: all that apply)",
     )
-    parser.add_argument("--mnist-images", help="training images IDX file")
-    parser.add_argument("--mnist-labels", help="training labels IDX file")
+    # each of these flags sets the option named by its dest
+    parser.add_argument("--mnist-images", dest="mnist_train_images", help="training images IDX file")
+    parser.add_argument("--mnist-labels", dest="mnist_train_labels", help="training labels IDX file")
     parser.add_argument("--mnist-test-images", help="test images IDX file")
     parser.add_argument("--mnist-test-labels", help="test labels IDX file")
     parser.add_argument("--save-models", metavar="DIR", help="write trained models here")
@@ -95,21 +77,14 @@ def main(argv=None) -> int:
     options = {}
     if args.config:
         options.update(read_config_file(args.config))
-    flag_map = {
-        "mnist_train_images": args.mnist_images,
-        "mnist_train_labels": args.mnist_labels,
-        "mnist_test_images": args.mnist_test_images,
-        "mnist_test_labels": args.mnist_test_labels,
-        "save_models": args.save_models,
-        "load_models": args.load_models,
-    }
     known = default_options(args.experiment)
-    for key, value in flag_map.items():
-        if value is not None:
-            if key not in known:
-                log.warning("option %s does not apply to %s; ignored", key, args.experiment)
-                continue
-            options[key] = value
+    for key in _FLAG_OPTIONS:
+        if getattr(args, key) is None:
+            continue
+        if key not in known:
+            log.warning("option %s does not apply to %s; ignored", key, args.experiment)
+            continue
+        options[key] = getattr(args, key)
 
     methods = [m.strip() for m in args.methods.split(",") if m.strip()] if args.methods else None
     out_path = args.out or f"{args.experiment}.{args.format}"

@@ -57,26 +57,6 @@ class Dataset:
         return np.unique(self.labels)
 
 
-@dataclass(frozen=True)
-class InterpolationProbe:
-    """A (x0, x1, t) triple probed at t * x1 + (1 - t) * x0."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=np.float64)
-        x1 = np.asarray(self.x1, dtype=np.float64)
-        if x0.shape != x1.shape or x0.ndim != 1:
-            raise DimensionMismatch(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-        if not np.isfinite(self.t):
-            raise ValueError("t must be finite")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "t", float(self.t))
-
-
 def make_toy2d(n_per_class: int, seed: int) -> Dataset:
     """Two isotropic Gaussian blobs: class 0 about (-2,-2), class 1 about (2,2).
 
@@ -167,17 +147,13 @@ def filter_classes(d: Dataset, keep) -> Dataset:
     return Dataset(d.features[mask], labels, source=d.source)
 
 
-def interpolate(p: InterpolationProbe) -> np.ndarray:
-    """Elementwise t * x1 + (1 - t) * x0; intentionally not clipped to [0, 1]."""
-    return p.t * p.x1 + (1.0 - p.t) * p.x0
-
-
 def probe_sweep(d: Dataset, n_pairs: int, t_grid, seed: int) -> list[tuple[int, float, np.ndarray]]:
     """Random class-0/class-1 pairs, each swept across t_grid.
 
     Each pair draws one sample uniformly from each class; pairs are independent
     and the whole sweep is deterministic in the seed. Returns a list of
-    (pair_id, t, feature_vector) with len == n_pairs * len(t_grid).
+    (pair_id, t, t * x1 + (1 - t) * x0) with len == n_pairs * len(t_grid); the
+    vectors are not clipped to [0, 1], so t outside [0, 1] extrapolates.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -189,10 +165,11 @@ def probe_sweep(d: Dataset, n_pairs: int, t_grid, seed: int) -> list[tuple[int, 
     if idx0.size == 0 or idx1.size == 0:
         raise EmptyResult("probe_sweep needs samples of both classes 0 and 1")
     rng = RngStream(seed)
+    t = np.asarray(t_grid)[:, None]
     out = []
     for pair_id in range(n_pairs):
         x0 = d.features[idx0[int(rng.integers(idx0.size))]]
         x1 = d.features[idx1[int(rng.integers(idx1.size))]]
-        for t in t_grid:
-            out.append((pair_id, t, interpolate(InterpolationProbe(x0, x1, t))))
+        sweep = t * x1 + (1.0 - t) * x0
+        out += [(pair_id, tj, vec) for tj, vec in zip(t_grid, sweep)]
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .bnn import HMCConfig, hmc_sample, mfvi_train, posterior_predict, sample_po
 from .datasets import Dataset, filter_classes, grid2d, load_idx, make_toy2d, probe_sweep
 from .errors import CheckFailure, NumericalError
 from .gp import (
+    LINKS,
     KernelParams,
     default_length_scale_grid,
     fit_hyperparams,
@@ -69,7 +71,11 @@ class UncertaintyReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run; ``methods=None`` means every method the experiment accepts."""
+    """One experiment run; ``methods=None`` means every method the experiment accepts.
+
+    ``options`` holds the keys that differ from ``default_options``; each value
+    is replaced by its canonical form, read by the type its option block declares.
+    """
 
     experiment: str
     methods: tuple[str, ...] | None = None
@@ -85,117 +91,139 @@ class ExperimentConfig:
             raise ValueError("methods must be nonempty")
         for m in methods:
             if m not in accepted:
-                raise ValueError(
-                    f"method {m!r} does not apply to {self.experiment}, expected subset of {accepted}"
-                )
+                raise ValueError(f"method {m!r} does not apply to {self.experiment}, "
+                                 f"expected subset of {accepted}")
         # canonical order regardless of how the caller listed them
         object.__setattr__(self, "methods", tuple(m for m in accepted if m in methods))
+        declared, options = _OPTIONS[self.experiment], {}
+        for key, value in self.options.items():
+            if key not in declared:
+                raise ValueError(f"unknown option {key!r} for experiment {self.experiment}")
+            try:
+                options[key] = declared[key][1](value)
+            except ValueError as exc:
+                raise ValueError(f"option {key}: {exc}") from None
+        object.__setattr__(self, "options", options)
+
+
+# Option types: each turns a Python value, or the text of a config file, into
+# the option's canonical value, and raises ValueError on anything else.
+
+
+def _number(value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _integer(value) -> int:
+    if not _number(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(_number(value))
+
+
+def _link(value) -> str:
+    if value not in LINKS:
+        raise ValueError(f"expected one of {LINKS}, got {value!r}")
+    return value
+
+
+def _scale(value):
+    if value != "median" and _number(value) <= 0:
+        raise ValueError(f"expected 'median' or a positive number, got {value!r}")
+    return value if value == "median" else _number(value)
+
+
+def _numbers(value, item=_number) -> list:
+    """A list, a comma-separated string or a single value, item by item."""
+    if isinstance(value, str):
+        value = value.split(",")
+    return [item(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
+
+
+def _arch(value) -> list[int]:
+    sizes = _numbers(value, _integer)
+    if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != 2:
+        raise ValueError(f"expected positive layer sizes ending in 2 classes, got {value!r}")
+    return sizes
+
+
+# Option blocks: each declares its keys once, as name=(default, type). A block's
+# arguments are the defaults that differ between the toy and MNIST experiments.
+
+
+def _block(prefix: str, **declared) -> dict:
+    return {prefix + name: spec for name, spec in declared.items()}
+
+
+def _gp(grid_scale=1.0):
+    return _block("gp.", link=("probit", _link), signal_variance=(1.0, _number),
+                  grid_scale=(grid_scale, _scale))
+
+
+def _mcdropout(arch=(2, 300, 2), dropout=0.5, epochs=50):
+    return _block("mcdropout.", arch=(arch, _arch), dropout=(dropout, _number),
+                  epochs=(epochs, _integer), learning_rate=(1e-3, _number),
+                  batch_size=(64, _integer), n_passes=(100, _integer))
+
+
+def _mfvi(arch=(2, 512, 128, 2), epochs=150):
+    return _block("mfvi.", arch=(arch, _arch), kl_weight=(0.1, _number),
+                  prior_precision=(1.0, _number), epochs=(epochs, _integer),
+                  learning_rate=(1e-3, _number), batch_size=(64, _integer),
+                  predict_draws=(100, _integer))
+
+
+def _hmc(arch=(2, 512, 128, 2), n_samples=300, burn_in=200, map_epochs=50):
+    return _block("hmc.", arch=(arch, _arch), prior_precision=(5.0, _number),
+                  step_size=(5e-4, _number), trajectory_length=(3, _integer),
+                  n_samples=(n_samples, _integer), burn_in=(burn_in, _integer),
+                  map_epochs=(map_epochs, _integer))
+
+
+_MODEL_DIRS = _block("", save_models=("", str), load_models=("", str))
+_MNIST_FILES = _block("mnist_", train_images=("", str), train_labels=("", str),
+                      test_images=("", str), test_labels=("", str))
+_MNIST_MCDROPOUT = _mcdropout(arch=(784, 500, 2), dropout=0.6, epochs=20)
+_N_PER_CLASS = _block("", n_per_class=(200, _integer))
+_RAY = (4.0, 5.0, 6.0, 8.0, 10.0, 11.0, 12.0, 14.0, 16.0, 20.0, 25.0, 30.0)
+
+_OPTIONS = {
+    "toy2d": {
+        **_MODEL_DIRS, **_N_PER_CLASS, **_gp(), **_mcdropout(), **_mfvi(), **_hmc(),
+        **_block("", grid_min=(-6.0, _number), grid_max=(6.0, _number), resolution=(100, _integer)),
+    },
+    "mnist-interp": {
+        **_MODEL_DIRS, **_MNIST_FILES, **_MNIST_MCDROPOUT,
+        **_block("", n_pairs=(100, _integer), t_steps=(31, _integer)),
+        **_block("encoder.", arch=((784, 600, 20, 2), _arch), dropout=(0.6, _number),
+                 epochs=(20, _integer), learning_rate=(1e-3, _number), batch_size=(64, _integer)),
+        **_gp(grid_scale="median"), **_block("gp.", subsample=(2000, _integer)),
+        **_mfvi(arch=(784, 1024, 128, 2), epochs=15),
+        **_hmc(arch=(784, 1024, 128, 2), n_samples=60, burn_in=50, map_epochs=5),
+    },
+    "digit-table": {**_MODEL_DIRS, **_MNIST_FILES, **_MNIST_MCDROPOUT},
+    "theorem-check": {
+        **_N_PER_CLASS,
+        **_block("", length_scale=(1.0, _number), signal_variance=(1.0, _number),
+                 link=("probit", _link), ray_distances=(_RAY, _numbers)),
+    },
+}
 
 
 def default_options(experiment: str) -> dict:
     """Per-experiment defaults; any key can be overridden via config file or CLI."""
-    common = {"save_models": "", "load_models": ""}
-    common_mnist = {
-        **common,
-        "mnist_train_images": "",
-        "mnist_train_labels": "",
-        "mnist_test_images": "",
-        "mnist_test_labels": "",
-    }
-    if experiment == "toy2d":
-        return {
-            **common,
-            "n_per_class": 200,
-            "grid_min": -6.0,
-            "grid_max": 6.0,
-            "resolution": 100,
-            "gp.link": "probit",
-            "gp.signal_variance": 1.0,
-            "gp.grid_scale": 1.0,
-            "mcdropout.arch": [2, 300, 2],
-            "mcdropout.dropout": 0.5,
-            "mcdropout.epochs": 50,
-            "mcdropout.learning_rate": 1e-3,
-            "mcdropout.batch_size": 64,
-            "mcdropout.n_passes": 100,
-            "mfvi.arch": [2, 512, 128, 2],
-            "mfvi.kl_weight": 0.1,
-            "mfvi.prior_precision": 1.0,
-            "mfvi.epochs": 150,
-            "mfvi.learning_rate": 1e-3,
-            "mfvi.batch_size": 64,
-            "mfvi.predict_draws": 100,
-            "hmc.arch": [2, 512, 128, 2],
-            "hmc.prior_precision": 5.0,
-            "hmc.step_size": 5e-4,
-            "hmc.trajectory_length": 3,
-            "hmc.n_samples": 300,
-            "hmc.burn_in": 200,
-            "hmc.map_epochs": 50,
-        }
-    if experiment == "mnist-interp":
-        return {
-            **common_mnist,
-            "n_pairs": 100,
-            "t_steps": 31,
-            "encoder.arch": [784, 600, 20, 2],
-            "encoder.dropout": 0.6,
-            "encoder.epochs": 20,
-            "encoder.learning_rate": 1e-3,
-            "encoder.batch_size": 64,
-            "gp.link": "probit",
-            "gp.signal_variance": 1.0,
-            "gp.grid_scale": "median",
-            "gp.subsample": 2000,
-            "mcdropout.arch": [784, 500, 2],
-            "mcdropout.dropout": 0.6,
-            "mcdropout.epochs": 20,
-            "mcdropout.learning_rate": 1e-3,
-            "mcdropout.batch_size": 64,
-            "mcdropout.n_passes": 100,
-            "mfvi.arch": [784, 1024, 128, 2],
-            "mfvi.kl_weight": 0.1,
-            "mfvi.prior_precision": 1.0,
-            "mfvi.epochs": 15,
-            "mfvi.learning_rate": 1e-3,
-            "mfvi.batch_size": 64,
-            "mfvi.predict_draws": 100,
-            "hmc.arch": [784, 1024, 128, 2],
-            "hmc.prior_precision": 5.0,
-            "hmc.step_size": 5e-4,
-            "hmc.trajectory_length": 3,
-            "hmc.n_samples": 60,
-            "hmc.burn_in": 50,
-            "hmc.map_epochs": 5,
-        }
-    if experiment == "digit-table":
-        return {
-            **common_mnist,
-            "mcdropout.arch": [784, 500, 2],
-            "mcdropout.dropout": 0.6,
-            "mcdropout.epochs": 20,
-            "mcdropout.learning_rate": 1e-3,
-            "mcdropout.batch_size": 64,
-            "mcdropout.n_passes": 100,
-        }
-    if experiment == "theorem-check":
-        return {
-            "n_per_class": 200,
-            "length_scale": 1.0,
-            "signal_variance": 1.0,
-            "link": "probit",
-            "ray_distances": [4.0, 5.0, 6.0, 8.0, 10.0, 11.0, 12.0, 14.0, 16.0, 20.0, 25.0, 30.0],
-        }
-    raise ValueError(f"unknown experiment {experiment!r}")
+    if experiment not in _OPTIONS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return {key: parse(default) for key, (default, parse) in _OPTIONS[experiment].items()}
 
 
 def merged_options(cfg: ExperimentConfig) -> dict:
-    opt = default_options(cfg.experiment)
-    for key, value in cfg.options.items():
-        if key not in opt:
-            raise ValueError(f"unknown option {key!r} for experiment {cfg.experiment}")
-        opt[key] = value
-    return opt
+    return {**default_options(cfg.experiment), **cfg.options}
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -249,107 +277,113 @@ def _base_metadata(cfg: ExperimentConfig, opt: dict) -> dict:
     }
 
 
-def _train_config(opt: dict, prefix: str, seed: int, tag: str) -> TrainConfig:
-    return TrainConfig(
-        optimizer="adam",
-        learning_rate=float(opt[f"{prefix}.learning_rate"]),
-        batch_size=int(opt[f"{prefix}.batch_size"]),
-        epochs=int(opt[f"{prefix}.epochs"]),
-        dropout_rate=float(opt[f"{prefix}.dropout"]),
-        seed=derive_seed(seed, f"{tag}-train"),
-    )
+def _train_config(opt: dict, prefix: str, seed: int) -> TrainConfig:
+    return TrainConfig(learning_rate=opt[f"{prefix}.learning_rate"],
+                       batch_size=opt[f"{prefix}.batch_size"], epochs=opt[f"{prefix}.epochs"],
+                       dropout_rate=opt.get(f"{prefix}.dropout", 0.0),
+                       seed=derive_seed(seed, f"{prefix}-train"))
 
 
-# Method builders: each takes (training data, seed, options, model store) and
-# returns (batched class-1 predictor, method info, deterministic network or None).
+def _length_scale_grid(opt: dict, features=None):
+    """(scale, KernelParams grid); a "median" scale is the median pairwise
+    distance of ``features``, or 1 while they are not known."""
+    scale = opt["gp.grid_scale"]
+    if scale == "median":
+        # anchor the length-scale search at the data's own distance scale
+        scale = 1.0 if features is None else _median_pairwise_distance(features)
+    return scale, default_length_scale_grid(scale, opt["gp.signal_variance"])
 
 
-def _build_gp_toy(d: Dataset, seed: int, opt: dict, models: _ModelStore):
-    grid = default_length_scale_grid(_grid_scale(opt, d.features), float(opt["gp.signal_variance"]))
-    params, state = fit_hyperparams(d, grid, link=str(opt["gp.link"]))
-    info = {
-        "length_scale": params.length_scale,
-        "log_marginal": state.log_marginal,
-        "train_accuracy": training_accuracy(state),
-    }
-    return (lambda pts: predict_proba_many(state, pts)[:, 1]), info, None
+# Method builders: each takes (seed, options) and builds the method's typed
+# configs, whose checks refuse bad values before anything trains. It returns
+# fit(training data, model store) -> (batched class-1 predictor, method info,
+# deterministic network or None).
 
 
-def _build_mcdropout(d: Dataset, seed: int, opt: dict, models: _ModelStore):
-    arch = [int(v) for v in opt["mcdropout.arch"]]
-    tc = _train_config(opt, "mcdropout", seed, "mcdropout")
-    params = models.obtain(
-        "mcdropout",
-        store.load_mlp,
-        store.save_mlp,
-        lambda: train(mlp_init(arch, seed=derive_seed(seed, "mcdropout-init")), d, tc),
-    )
-    mc_cfg = MCDropoutConfig(
-        n_samples=int(opt["mcdropout.n_passes"]),
-        dropout_rate=float(opt["mcdropout.dropout"]),
-        seed=derive_seed(seed, "mcdropout-eval"),
-    )
-    info = {"train_accuracy": accuracy(params, d.features, d.labels)}
-    return (lambda pts: mc_average(params, pts, mc_cfg)[:, 1]), info, params
+def _build_gp_toy(seed: int, opt: dict):
+    _length_scale_grid(opt)  # its KernelParams checks, before any training
+
+    def fit(d: Dataset, models: _ModelStore):
+        params, state = fit_hyperparams(d, _length_scale_grid(opt, d.features)[1], link=opt["gp.link"])
+        info = {"length_scale": params.length_scale, "log_marginal": state.log_marginal,
+                "train_accuracy": training_accuracy(state)}
+        return (lambda pts: predict_proba_many(state, pts)[:, 1]), info, None
+
+    return fit
 
 
-def _build_mfvi(d: Dataset, seed: int, opt: dict, models: _ModelStore):
-    arch = [int(v) for v in opt["mfvi.arch"]]
-    posterior = models.obtain(
-        "mfvi",
-        store.load_mfvi,
-        store.save_mfvi,
-        lambda: mfvi_train(
-            arch,
-            d,
-            epochs=int(opt["mfvi.epochs"]),
-            kl_weight=float(opt["mfvi.kl_weight"]),
-            prior_precision=float(opt["mfvi.prior_precision"]),
-            seed=derive_seed(seed, "mfvi"),
-            learning_rate=float(opt["mfvi.learning_rate"]),
-            batch_size=int(opt["mfvi.batch_size"]),
-        ),
-    )
-    draws = sample_posterior(
-        posterior,
-        int(opt["mfvi.predict_draws"]),
-        RngStream(derive_seed(seed, "mfvi-eval")),
-    )
-    mean_net = posterior.mean_params()
-    info = {"train_accuracy": accuracy(mean_net, d.features, d.labels)}
-    return (lambda pts: posterior_predict(draws, pts, arch)[:, 1]), info, mean_net
+def _build_mcdropout(seed: int, opt: dict):
+    arch, tc = opt["mcdropout.arch"], _train_config(opt, "mcdropout", seed)
+    mc_cfg = MCDropoutConfig(opt["mcdropout.n_passes"], opt["mcdropout.dropout"],
+                             seed=derive_seed(seed, "mcdropout-eval"))
+
+    def fit(d: Dataset, models: _ModelStore):
+        params = models.obtain("mcdropout", store.load_mlp, store.save_mlp, lambda: train(
+            mlp_init(arch, seed=derive_seed(seed, "mcdropout-init")), d, tc))
+        info = {"train_accuracy": accuracy(params, d.features, d.labels)}
+        return (lambda pts: mc_average(params, pts, mc_cfg)[:, 1]), info, params
+
+    return fit
 
 
-def _build_hmc(d: Dataset, seed: int, opt: dict, models: _ModelStore):
-    arch = [int(v) for v in opt["hmc.arch"]]
-    cfg = HMCConfig(
-        step_size=float(opt["hmc.step_size"]),
-        trajectory_length=int(opt["hmc.trajectory_length"]),
-        n_samples=int(opt["hmc.n_samples"]),
-        burn_in=int(opt["hmc.burn_in"]),
-        prior_precision=float(opt["hmc.prior_precision"]),
-        seed=derive_seed(seed, "hmc"),
-    )
-    chain = models.obtain(
-        "hmc",
-        store.load_chain,
-        store.save_chain,
-        lambda: hmc_sample(d, arch, cfg, map_epochs=int(opt["hmc.map_epochs"])),
-    )
-    train_probs = posterior_predict(chain.samples, d.features, arch)
-    info = {
-        "accept_rate": chain.accept_rate,
-        "train_accuracy": float(np.mean(np.argmax(train_probs, axis=1) == d.labels)),
-    }
-    return (lambda pts: posterior_predict(chain.samples, pts, arch)[:, 1]), info, None
+def _build_mfvi(seed: int, opt: dict):
+    arch, tc = opt["mfvi.arch"], _train_config(opt, "mfvi", seed)
+
+    def fit(d: Dataset, models: _ModelStore):
+        posterior = models.obtain("mfvi", store.load_mfvi, store.save_mfvi, lambda: mfvi_train(
+            arch, d, epochs=tc.epochs, kl_weight=opt["mfvi.kl_weight"],
+            prior_precision=opt["mfvi.prior_precision"], seed=derive_seed(seed, "mfvi"),
+            learning_rate=tc.learning_rate, batch_size=tc.batch_size))
+        draws = sample_posterior(
+            posterior, opt["mfvi.predict_draws"], RngStream(derive_seed(seed, "mfvi-eval"))
+        )
+        mean_net = posterior.mean_params()
+        info = {"train_accuracy": accuracy(mean_net, d.features, d.labels)}
+        return (lambda pts: posterior_predict(draws, pts, arch)[:, 1]), info, mean_net
+
+    return fit
 
 
-_TOY_BUILDERS = {
-    "gp": _build_gp_toy,
-    "mcdropout": _build_mcdropout,
-    "mfvi": _build_mfvi,
-    "hmc": _build_hmc,
-}
+def _build_hmc(seed: int, opt: dict):
+    arch, map_epochs = opt["hmc.arch"], opt["hmc.map_epochs"]
+    cfg = HMCConfig(step_size=opt["hmc.step_size"], trajectory_length=opt["hmc.trajectory_length"],
+                    n_samples=opt["hmc.n_samples"], burn_in=opt["hmc.burn_in"],
+                    prior_precision=opt["hmc.prior_precision"], seed=derive_seed(seed, "hmc"))
+    TrainConfig(epochs=map_epochs)  # the MAP start's training, checked now
+
+    def fit(d: Dataset, models: _ModelStore):
+        chain = models.obtain("hmc", store.load_chain, store.save_chain,
+                              lambda: hmc_sample(d, arch, cfg, map_epochs=map_epochs))
+        train_probs = posterior_predict(chain.samples, d.features, arch)
+        info = {
+            "accept_rate": chain.accept_rate,
+            "train_accuracy": float(np.mean(np.argmax(train_probs, axis=1) == d.labels)),
+        }
+        return (lambda pts: posterior_predict(chain.samples, pts, arch)[:, 1]), info, None
+
+    return fit
+
+
+_TOY_BUILDERS = {"gp": _build_gp_toy, "mcdropout": _build_mcdropout, "mfvi": _build_mfvi,
+                 "hmc": _build_hmc}
+
+
+def _prepare(cfg: ExperimentConfig, opt: dict, builders: dict) -> dict:
+    """Every requested method's fit, built before any method trains. When a
+    config check refuses a value, each changed option is tried alone on top of
+    the defaults, so the error names the key it refused."""
+    def build(options):
+        return {m: builders[m](cfg.seed, options) for m in cfg.methods}
+
+    try:
+        return build(opt)
+    except ValueError:
+        for key in sorted(cfg.options):
+            try:
+                build({**default_options(cfg.experiment), key: opt[key]})
+            except ValueError as exc:
+                raise ValueError(f"option {key}={opt[key]!r}: {exc}") from None
+        raise
 
 
 def _sweep(cfg: ExperimentConfig, opt: dict, builders: dict, train_data: Dataset,
@@ -361,14 +395,13 @@ def _sweep(cfg: ExperimentConfig, opt: dict, builders: dict, train_data: Dataset
     its test accuracy. Returns the validated report (rows method by method, in
     canonical order) and each method's entropy per row.
     """
+    fits = _prepare(cfg, opt, builders)
     models = _ModelStore(opt.get("save_models"), opt.get("load_models"))
     predictors: dict = {}
     method_info: dict = {}
     for method in cfg.methods:
         log.info("%s: preparing %s", cfg.experiment, method)
-        predictors[method], method_info[method], net = builders[method](
-            train_data, cfg.seed, opt, models
-        )
+        predictors[method], method_info[method], net = fits[method](train_data, models)
         if test is not None and net is not None:
             method_info[method]["test_accuracy"] = accuracy(net, test.features, test.labels)
     report = UncertaintyReport(metadata=_base_metadata(cfg, opt))
@@ -389,9 +422,9 @@ def _sweep(cfg: ExperimentConfig, opt: dict, builders: dict, train_data: Dataset
 def run_toy2d(cfg: ExperimentConfig) -> UncertaintyReport:
     """Train each requested method on the 2D toy data and sweep the eval grid."""
     opt = merged_options(cfg)
-    d = make_toy2d(int(opt["n_per_class"]), cfg.seed)
-    lo, hi = float(opt["grid_min"]), float(opt["grid_max"])
-    points = grid2d(lo, hi, lo, hi, int(opt["resolution"]))
+    d = make_toy2d(opt["n_per_class"], cfg.seed)
+    lo, hi = opt["grid_min"], opt["grid_max"]
+    points = grid2d(lo, hi, lo, hi, opt["resolution"])
     probes = [(f"grid_{i:05d}", f"x={x:.9g};y={y:.9g}") for i, (x, y) in enumerate(points)]
     return _sweep(cfg, opt, _TOY_BUILDERS, d, points, probes)[0]
 
@@ -420,41 +453,32 @@ def _median_pairwise_distance(x: np.ndarray, cap: int = 512) -> float:
     return med if med > 0 else 1.0
 
 
-def _grid_scale(opt: dict, features: np.ndarray) -> float:
-    raw = opt["gp.grid_scale"]
-    if isinstance(raw, str) and raw == "median":
-        # anchor the length-scale search at the data's own distance scale
-        return _median_pairwise_distance(features)
-    return float(raw)
+def _build_gp_mnist(seed: int, opt: dict):
+    arch, tc = opt["encoder.arch"], _train_config(opt, "encoder", seed)
+    _length_scale_grid(opt)  # its KernelParams checks, before any training
 
+    def fit(train01: Dataset, models: _ModelStore):
+        encoder = models.obtain("gp_encoder", store.load_mlp, store.save_mlp, lambda: train(
+            mlp_init(arch, seed=derive_seed(seed, "encoder-init")), train01, tc))
+        fit_data = _subsample(train01, opt["gp.subsample"], derive_seed(seed, "gp-subsample"))
+        embeddings = encode(encoder, fit_data.features, 2)
+        enc_dataset = Dataset(embeddings, fit_data.labels, source=fit_data.source)
+        scale, grid = _length_scale_grid(opt, embeddings)
+        params, state = fit_hyperparams(enc_dataset, grid, link=opt["gp.link"])
+        info = {
+            "length_scale": params.length_scale,
+            "grid_scale": scale,
+            "log_marginal": state.log_marginal,
+            "train_accuracy": training_accuracy(state),
+            "encoder_train_accuracy": accuracy(encoder, train01.features, train01.labels),
+        }
 
-def _build_gp_mnist(train01: Dataset, seed: int, opt: dict, models: _ModelStore):
-    arch = [int(v) for v in opt["encoder.arch"]]
-    tc = _train_config(opt, "encoder", seed, "encoder")
-    encoder = models.obtain(
-        "gp_encoder",
-        store.load_mlp,
-        store.save_mlp,
-        lambda: train(mlp_init(arch, seed=derive_seed(seed, "encoder-init")), train01, tc),
-    )
-    fit_data = _subsample(train01, int(opt["gp.subsample"]), derive_seed(seed, "gp-subsample"))
-    embeddings = encode(encoder, fit_data.features, 2)
-    enc_dataset = Dataset(embeddings, fit_data.labels, source=fit_data.source)
-    scale = _grid_scale(opt, embeddings)
-    grid = default_length_scale_grid(scale, float(opt["gp.signal_variance"]))
-    params, state = fit_hyperparams(enc_dataset, grid, link=str(opt["gp.link"]))
-    info = {
-        "length_scale": params.length_scale,
-        "grid_scale": scale,
-        "log_marginal": state.log_marginal,
-        "train_accuracy": training_accuracy(state),
-        "encoder_train_accuracy": accuracy(encoder, train01.features, train01.labels),
-    }
+        def predict(points):
+            return predict_proba_many(state, encode(encoder, points, 2))[:, 1]
 
-    def predict(points):
-        return predict_proba_many(state, encode(encoder, points, 2))[:, 1]
+        return predict, info, None
 
-    return predict, info, None
+    return fit
 
 
 _MNIST_BUILDERS = {**_TOY_BUILDERS, "gp": _build_gp_mnist}
@@ -465,9 +489,9 @@ def run_mnist_interp(cfg: ExperimentConfig) -> UncertaintyReport:
     opt = merged_options(cfg)
     train01 = filter_classes(_load_mnist_pair(opt, "train"), {0, 1})
     test01 = filter_classes(_load_mnist_pair(opt, "test"), {0, 1})
-    t_grid = np.linspace(-1.0, 2.0, int(opt["t_steps"]))
+    t_grid = np.linspace(-1.0, 2.0, opt["t_steps"])
     n_t = len(t_grid)
-    sweep = probe_sweep(test01, int(opt["n_pairs"]), t_grid, derive_seed(cfg.seed, "probes"))
+    sweep = probe_sweep(test01, opt["n_pairs"], t_grid, derive_seed(cfg.seed, "probes"))
     points = np.stack([vec for _, _, vec in sweep])
     probes = [
         (f"pair{pair_id:03d}_t{j % n_t:02d}", f"pair={pair_id};t={t:.9g}")
@@ -506,15 +530,14 @@ def run_theorem_check(cfg: ExperimentConfig) -> UncertaintyReport:
     rides along on the exception).
     """
     opt = merged_options(cfg)
-    d = make_toy2d(int(opt["n_per_class"]), cfg.seed)
-    params = KernelParams(float(opt["length_scale"]), float(opt["signal_variance"]))
-    state = laplace_fit(d, params, link=str(opt["link"]))
+    d = make_toy2d(opt["n_per_class"], cfg.seed)
+    params = KernelParams(opt["length_scale"], opt["signal_variance"])
+    state = laplace_fit(d, params, link=opt["link"])
     n = d.n_samples
     bound_c = float(np.max(np.abs(state.grad))) + 1.0
 
     unit = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    distances = [float(r) for r in opt["ray_distances"]]
-    probes = [(f"ray_{r:05.1f}", r * unit) for r in distances]
+    probes = [(f"ray_{r:05.1f}", r * unit) for r in opt["ray_distances"]]
     # a class-1 training point near its mode, for the in-distribution contrast
     idx1 = np.flatnonzero(d.labels == 1)
     center = np.array([2.0, 2.0])
@@ -536,15 +559,8 @@ def run_theorem_check(cfg: ExperimentConfig) -> UncertaintyReport:
                 "p_class1": p1,
             }
         )
-        rows.append(
-            ReportRow(
-                probe_id=probe_id,
-                method="gp",
-                descriptor=f"x={x[0]:.9g};y={x[1]:.9g}",
-                p_class1=p1,
-                entropy_nats=float(binary_entropy(p1)),
-            )
-        )
+        rows.append(ReportRow(probe_id, "gp", f"x={x[0]:.9g};y={x[1]:.9g}", p1,
+                              float(binary_entropy(p1))))
 
     report = UncertaintyReport(rows=rows, metadata=_base_metadata(cfg, opt))
     report.metadata["theorem"] = {

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
-from .errors import EmptyResult
 from .nnet import MLPParams, ensemble_softmax, forward
 from .numerics import RngStream, entropy_rows
 
@@ -65,23 +63,3 @@ def mc_statistics(params: MLPParams, x, cfg: MCDropoutConfig):
     if x.ndim == 1:
         return mean_probs, float(entropy_of_mean), float(mean_entropy)
     return mean_probs, entropy_of_mean, mean_entropy
-
-
-def per_class_mean_entropy(
-    params: MLPParams, d: Dataset, cfg: MCDropoutConfig, classes=None
-) -> dict[int, float]:
-    """Mean predictive entropy per original class label over all its samples.
-
-    ``classes`` defaults to every label present; requesting an absent class
-    raises EmptyResult.
-    """
-    mean_probs = mc_average(params, d.features, cfg)
-    ent = entropy_rows(np.atleast_2d(mean_probs))
-    wanted = sorted(int(c) for c in classes) if classes is not None else [int(c) for c in d.classes]
-    out = {}
-    for c in wanted:
-        mask = d.labels == c
-        if not np.any(mask):
-            raise EmptyResult(f"no samples of class {c}")
-        out[c] = float(np.mean(ent[mask]))
-    return out

@@ -2,22 +2,51 @@ import json
 
 import pytest
 
-from ueprobe.cli import main, parse_value, read_config_file
+from ueprobe.cli import main, read_config_file
+from ueprobe.harness import ExperimentConfig, config_digest, default_options
+
+
+def parsed(experiment, **options):
+    """The canonical values that ExperimentConfig reads from raw option text."""
+    return ExperimentConfig(experiment=experiment, options=options).options
 
 
 class TestParseValue:
     def test_scalars(self):
-        assert parse_value("42") == 42
-        assert parse_value("0.5") == 0.5
-        assert parse_value("true") is True
-        assert parse_value("False") is False
-        assert parse_value("probit") == "probit"
+        values = parsed("toy2d", resolution="42", n_per_class=" 7.0 ", grid_min="0.5",
+                        grid_max="6", save_models="models")
+        assert values == {"resolution": 42, "n_per_class": 7, "grid_min": 0.5, "grid_max": 6.0,
+                          "save_models": "models"}
+        assert type(values["resolution"]) is int and type(values["grid_max"]) is float
+        assert parsed("toy2d", **{"gp.link": "logistic"}) == {"gp.link": "logistic"}
+        assert parsed("toy2d", **{"gp.grid_scale": "median"}) == {"gp.grid_scale": "median"}
+        assert parsed("toy2d", **{"gp.grid_scale": "2"}) == {"gp.grid_scale": 2.0}
 
     def test_int_list(self):
-        assert parse_value("2,300,2") == [2, 300, 2]
+        assert parsed("toy2d", **{"mcdropout.arch": "2,300,2"}) == {"mcdropout.arch": [2, 300, 2]}
+        assert parsed("toy2d", **{"mcdropout.arch": "2, 300.0, 2"}) == {"mcdropout.arch": [2, 300, 2]}
+        assert parsed("theorem-check", ray_distances="10") == {"ray_distances": [10.0]}
+        assert parsed("theorem-check", ray_distances=10) == {"ray_distances": [10.0]}
 
     def test_string_list(self):
-        assert parse_value("a,b") == ["a", "b"]
+        # text options keep their commas; only list options split on them
+        assert parsed("toy2d", load_models="a,b") == {"load_models": "a,b"}
+
+    @pytest.mark.parametrize("key, text", [
+        ("resolution", "5.5"),
+        ("resolution", "five"),
+        ("grid_min", "nan"),
+        ("gp.link", "tanh"),
+        ("gp.grid_scale", "0"),
+        ("gp.grid_scale", "mean"),
+        ("mcdropout.arch", "2"),
+        ("mcdropout.arch", "2,0,2"),
+        ("mcdropout.arch", "2,300,3"),
+        ("mcdropout.arch", "2,,2"),
+    ])
+    def test_rejects_by_declared_type(self, key, text):
+        with pytest.raises(ValueError, match=f"option {key}"):
+            parsed("toy2d", **{key: text})
 
 
 class TestConfigFile:
@@ -25,8 +54,8 @@ class TestConfigFile:
         path = tmp_path / "cfg"
         path.write_text("# comment\n\nresolution=4\nmcdropout.arch=2,8,2\ngp.link=probit\n")
         assert read_config_file(path) == {
-            "resolution": 4,
-            "mcdropout.arch": [2, 8, 2],
+            "resolution": "4",
+            "mcdropout.arch": "2,8,2",
             "gp.link": "probit",
         }
 
@@ -35,6 +64,16 @@ class TestConfigFile:
         path.write_text("resolution 4\n")
         with pytest.raises(ValueError):
             read_config_file(path)
+
+    def test_default_values_give_the_default_digest(self, tmp_path):
+        for experiment in ("toy2d", "theorem-check"):
+            path = tmp_path / f"{experiment}.cfg"
+            path.write_text("".join(
+                f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                for k, v in default_options(experiment).items()
+            ))
+            cfg = ExperimentConfig(experiment=experiment, options=read_config_file(path))
+            assert config_digest(cfg) == config_digest(ExperimentConfig(experiment=experiment))
 
 
 class TestMain:
@@ -108,3 +147,17 @@ class TestMain:
     def test_bad_experiment_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
+
+    @pytest.mark.parametrize("line, key", [
+        ("resolution=5.5", "resolution"),
+        ("mcdropout.arch=2", "mcdropout.arch"),
+    ])
+    def test_bad_value_exits_1_naming_the_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{line}\nmcdropout.epochs=1\nmcdropout.n_passes=1\n")
+        out = tmp_path / "x.csv"
+        code = main(["toy2d", "--config", str(cfg), "--methods", "mcdropout", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert key in err and "Traceback" not in err
+        assert not out.exists()

@@ -7,10 +7,8 @@ from idxio import write_idx_images, write_idx_labels
 from test_store import damaged
 from ueprobe.datasets import (
     Dataset,
-    InterpolationProbe,
     filter_classes,
     grid2d,
-    interpolate,
     load_idx,
     make_toy2d,
     probe_sweep,
@@ -172,36 +170,37 @@ class TestFilterClasses:
             filter_classes(self._tenclass(), set())
 
 
+def pair_sweep(x0, x1, t_grid):
+    """probe_sweep's vectors for the one pair (x0 of class 0, x1 of class 1)."""
+    d = Dataset(np.stack([x0, x1]), [0, 1], source="probe")
+    return [vec for _, _, vec in probe_sweep(d, 1, t_grid, seed=0)]
+
+
 class TestInterpolate:
     def test_endpoints_exact(self):
         x0 = np.array([0.2, 0.8, 0.5])
         x1 = np.array([0.9, 0.1, 0.3])
-        np.testing.assert_array_equal(interpolate(InterpolationProbe(x0, x1, 0.0)), x0)
-        np.testing.assert_array_equal(interpolate(InterpolationProbe(x0, x1, 1.0)), x1)
+        at0, at1 = pair_sweep(x0, x1, [0.0, 1.0])
+        np.testing.assert_array_equal(at0, x0)
+        np.testing.assert_array_equal(at1, x1)
 
     def test_midpoint(self):
-        probe = InterpolationProbe(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.5)
-        np.testing.assert_array_equal(interpolate(probe), [0.5, 0.5])
+        (mid,) = pair_sweep(np.array([0.0, 1.0]), np.array([1.0, 0.0]), [0.5])
+        np.testing.assert_array_equal(mid, [0.5, 0.5])
 
     def test_affine_in_t(self):
         rng = np.random.default_rng(8)
         x0, x1 = rng.uniform(size=10), rng.uniform(size=10)
         for a, b in [(-1.0, 2.0), (0.0, 1.0), (0.3, 0.7)]:
-            left = interpolate(InterpolationProbe(x0, x1, a)) + interpolate(
-                InterpolationProbe(x0, x1, b)
-            )
-            mid = 2.0 * interpolate(InterpolationProbe(x0, x1, (a + b) / 2.0))
-            np.testing.assert_allclose(left, mid, atol=1e-12)
+            va, vb, vmid = pair_sweep(x0, x1, [a, b, (a + b) / 2.0])
+            np.testing.assert_allclose(va + vb, 2.0 * vmid, atol=1e-12)
+            # bit for bit the per-point expression, however the sweep is batched
+            np.testing.assert_array_equal(va, a * x1 + (1.0 - a) * x0)
 
     def test_not_clipped(self):
-        probe = InterpolationProbe(np.array([0.0]), np.array([1.0]), 2.0)
-        assert interpolate(probe)[0] == 2.0
-        probe = InterpolationProbe(np.array([0.0]), np.array([1.0]), -1.0)
-        assert interpolate(probe)[0] == -1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            InterpolationProbe(np.zeros(2), np.zeros(3), 0.5)
+        at2, at_minus1 = pair_sweep(np.array([0.0]), np.array([1.0]), [2.0, -1.0])
+        assert at2[0] == 2.0
+        assert at_minus1[0] == -1.0
 
 
 class TestProbeSweep:

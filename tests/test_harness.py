@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from ueprobe import bnn, harness
 from ueprobe.errors import CheckFailure, NumericalError
 from ueprobe.harness import (
     EXPERIMENTS,
@@ -124,9 +125,8 @@ class TestWriteReport:
 
 class TestConfig:
     def test_unknown_option_rejected(self):
-        cfg = ExperimentConfig(experiment="toy2d", options={"nonsense": 1})
-        with pytest.raises(ValueError):
-            merged_options(cfg)
+        with pytest.raises(ValueError, match="nonsense"):
+            merged_options(ExperimentConfig(experiment="toy2d", options={"nonsense": 1}))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -165,6 +165,59 @@ class TestConfig:
     def test_defaults_exist_for_all_experiments(self):
         for exp in ("toy2d", "mnist-interp", "digit-table", "theorem-check"):
             assert default_options(exp)
+
+    def test_default_digests_pinned(self):
+        # reports carry these digests; a change to a default or its canonical form moves them
+        assert {e: config_digest(ExperimentConfig(experiment=e)) for e in EXPERIMENTS} == {
+            "toy2d": "c6a59595a5d97210ce2e59d5877ac636e127ef9ca6bfda828d5f7f23632e8829",
+            "mnist-interp": "6bbd4264a3cf82be5d156032d951b5a741b06790c8f5069496a0b85d3124e45b",
+            "digit-table": "83560826de760d370ba7b781c59df324ee6bb0fa15a10ebebecd4ad806ff0985",
+            "theorem-check": "6fb1d254e1b970bedcdab6129206c7081b3dcd29fbd7c0c94807637388551578",
+        }
+
+
+class TestOptions:
+    @pytest.mark.parametrize("key, value", [("resolution", 5.5), ("n_per_class", 200.5),
+                                            ("resolution", "5.5")])
+    def test_fractional_integer_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"option {key}"):
+            ExperimentConfig(experiment="toy2d", options={key: value})
+
+    def test_integer_forms_give_one_digest(self):
+        digests = {
+            config_digest(ExperimentConfig(experiment="toy2d", options={"resolution": v}))
+            for v in (5, 5.0, "5", "5.0")
+        }
+        assert len(digests) == 1
+
+    def test_bad_arch_is_a_value_error(self):
+        with pytest.raises(ValueError, match="mcdropout.arch"):
+            ExperimentConfig(experiment="toy2d", options={"mcdropout.arch": 2})
+
+    @pytest.mark.parametrize("value", [10, "10", 10.0])
+    def test_single_ray_distance_runs_the_check(self, value):
+        cfg = ExperimentConfig(experiment="theorem-check", options={"ray_distances": value})
+        with pytest.raises(CheckFailure):
+            run_theorem_check(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hmc.step_size", -1),
+        ("hmc.map_epochs", 0),
+        ("mcdropout.n_passes", 0),
+        ("mcdropout.dropout", 0.0),
+        ("mfvi.batch_size", 0),
+        ("gp.signal_variance", -1.0),
+    ])
+    def test_bad_value_fails_before_any_training(self, monkeypatch, key, value):
+        def trained(*args, **kwargs):
+            raise AssertionError("a method trained before the options were checked")
+
+        for module, name in [(harness, "train"), (harness, "fit_hyperparams"),
+                             (harness, "mfvi_train"), (harness, "hmc_sample"), (bnn, "train")]:
+            monkeypatch.setattr(module, name, trained)
+        cfg = ExperimentConfig(experiment="toy2d", options=dict(TINY_TOY, **{key: value}))
+        with pytest.raises(ValueError, match=f"option {key}="):
+            run_toy2d(cfg)
 
 
 class TestToy2d:
@@ -281,5 +334,9 @@ class TestSyntheticMnistPipeline:
         table = rep.metadata["per_digit_mean_entropy"]
         assert set(table) == {str(c) for c in range(10)}
         for c in range(10):
-            class_rows = [r.entropy_nats for r in rep.rows if r.descriptor == f"class={c}"]
-            assert abs(table[str(c)] - np.mean(class_rows)) < 1e-9
+            # each digit's mean is over the entropies of its rows' averaged probabilities
+            class_rows = [r for r in rep.rows if r.descriptor == f"class={c}"]
+            assert len(class_rows) == 8
+            for row in class_rows:
+                assert abs(row.entropy_nats - float(binary_entropy(row.p_class1))) < 1e-9
+            assert abs(table[str(c)] - np.mean([r.entropy_nats for r in class_rows])) < 1e-9

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from ueprobe.datasets import Dataset
-from ueprobe.errors import EmptyResult
-from ueprobe.mcdropout import (
-    MCDropoutConfig,
-    mc_average,
-    mc_statistics,
-    per_class_mean_entropy,
-)
+from ueprobe.mcdropout import MCDropoutConfig, mc_average, mc_statistics
 from ueprobe.nnet import TrainConfig, forward, mlp_init, train
 from ueprobe.numerics import LN2, RngStream, entropy, entropy_rows, softmax
 
@@ -121,34 +114,15 @@ class TestMcEntropy:
 
 
 class TestPerClassMeanEntropy:
-    def _probe_dataset(self, toy):
+    def test_in_distribution_low_boundary_high(self, toy_net):
         # classes 0/1 from the training clusters, class 5 on the boundary
         rng = np.random.default_rng(23)
-        f0 = rng.normal(size=(20, 2)) * 0.3 + [-2.0, -2.0]
-        f1 = rng.normal(size=(20, 2)) * 0.3 + [2.0, 2.0]
-        f5 = rng.normal(size=(20, 2)) * 0.3
-        features = np.vstack([f0, f1, f5])
-        labels = np.array([0] * 20 + [1] * 20 + [5] * 20)
-        return Dataset(features, labels, source="probe")
-
-    def test_in_distribution_low_boundary_high(self, toy, toy_net):
-        d = self._probe_dataset(toy)
+        features = np.vstack([rng.normal(size=(20, 2)) * 0.3 + centre
+                              for centre in ([-2.0, -2.0], [2.0, 2.0], [0.0, 0.0])])
+        labels = np.repeat([0, 1, 5], 20)
         cfg = MCDropoutConfig(n_samples=100, dropout_rate=0.5, seed=29)
-        means = per_class_mean_entropy(toy_net, d, cfg)
-        assert set(means) == {0, 1, 5}
+        ent = entropy_rows(mc_average(toy_net, features, cfg))
+        means = {c: float(np.mean(ent[labels == c])) for c in (0, 1, 5)}
         assert means[0] <= 0.1
         assert means[1] <= 0.1
         assert means[5] >= 0.25
-
-    def test_single_sample_class(self, toy_net):
-        d = Dataset(np.array([[0.5, 0.5]]), np.array([3]), source="probe")
-        cfg = MCDropoutConfig(n_samples=50, dropout_rate=0.5, seed=31)
-        means = per_class_mean_entropy(toy_net, d, cfg)
-        expected = mc_entropy(toy_net, np.array([0.5, 0.5]), cfg)
-        assert abs(means[3] - expected) < 1e-12
-
-    def test_absent_class_raises(self, toy_net):
-        d = Dataset(np.zeros((2, 2)), np.array([0, 1]), source="probe")
-        cfg = MCDropoutConfig(n_samples=5, dropout_rate=0.5, seed=1)
-        with pytest.raises(EmptyResult):
-            per_class_mean_entropy(toy_net, d, cfg, classes=[7])
