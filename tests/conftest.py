@@ -85,9 +85,13 @@ def _write_synthetic_mnist(directory, n_train_per_class, n_test_per_class, class
     return paths
 
 
+def write_synthetic_mnist(directory):
+    """Small fake MNIST (all 10 classes, 30 train and 8 test images each) in directory."""
+    return _write_synthetic_mnist(str(directory), n_train_per_class=30, n_test_per_class=8,
+                                  classes=range(10), seed=2024)
+
+
 @pytest.fixture(scope="session")
 def synthetic_mnist(tmp_path_factory):
     """Small fake MNIST (all 10 classes) exercising the full IDX pipeline."""
-    directory = tmp_path_factory.mktemp("fake_mnist")
-    return _write_synthetic_mnist(str(directory), n_train_per_class=30, n_test_per_class=8,
-                                  classes=range(10), seed=2024)
+    return write_synthetic_mnist(tmp_path_factory.mktemp("fake_mnist"))
