@@ -31,7 +31,6 @@ from .gp import (
     KernelParams,
     LaplaceGPState,
     fit_hyperparams,
-    gp_entropy_many,
     kernel_matrix,
     laplace_fit,
     predict_latent_many,
@@ -48,12 +47,11 @@ from .harness import (
     run_toy2d,
     write_report,
 )
-from .mcdropout import MCDropoutConfig, mc_average, mc_statistics
-from .nnet import MLPParams, TrainConfig, backward, cross_entropy, encode, forward, mlp_init, train
+from .mcdropout import MCDropoutConfig, mc_average
+from .nnet import MLPParams, TrainConfig, backward, encode, forward, mlp_init, train
 from .numerics import (
     RngStream,
     cholesky,
-    entropy,
     entropy_rows,
     gauss_hermite,
     softmax,

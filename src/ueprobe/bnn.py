@@ -427,9 +427,8 @@ def hmc_sample(
 def posterior_predict(samples, x, layer_sizes) -> np.ndarray:
     """Posterior-averaged class probabilities: mean softmax over sampled networks.
 
-    ``samples`` is an iterable of parameter vectors (or a (K, P) array); x may
-    be a single vector or an (n, d) batch. The reduction runs in fixed sample
-    order.
+    ``samples`` is an iterable of parameter vectors (or a (K, P) array) and x
+    an (n, d) batch. The reduction runs in fixed sample order.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:

@@ -19,7 +19,6 @@ from scipy.special import expit
 from .datasets import Dataset
 from .errors import DimensionMismatch, NoConvergence, NumericalError
 from .numerics import (
-    binary_entropy,
     gauss_hermite,
     jittered_cholesky,
     solve_triangular,
@@ -159,14 +158,13 @@ def laplace_fit(
     psi = terms(f, t)[0]  # -a.f/2 vanishes at a = 0
     converged = False
     for iteration in range(max_iter):
-        loglik, grad, w = terms(f, t)
+        _, grad, w = terms(f, t)
+        sw = np.sqrt(w)
+        chol_b, jitter = jittered_cholesky(np.eye(n) + sw[:, None] * k * sw[None, :])
         residual = float(np.max(np.abs(f - k @ grad))) if n else 0.0
         if residual < tol:
             converged = True
             break
-        sw = np.sqrt(w)
-        b_mat = np.eye(n) + sw[:, None] * k * sw[None, :]
-        chol_b, _ = jittered_cholesky(b_mat)
         b = w * f + grad
         v = solve_triangular(chol_b, sw * (k @ b), side="lower")
         a_new = b - sw * solve_triangular(chol_b.T, v, side="upper")
@@ -194,10 +192,6 @@ def laplace_fit(
             state={"f": f, "iterations": max_iter},
         )
 
-    loglik, grad, w = terms(f, t)
-    sw = np.sqrt(w)
-    b_mat = np.eye(n) + sw[:, None] * k * sw[None, :]
-    chol_b, jitter = jittered_cholesky(b_mat)
     log_marginal = psi - float(np.sum(np.log(np.diag(chol_b))))
     if jitter:
         log.debug("laplace_fit used jitter %.3g on B", jitter)
@@ -289,12 +283,6 @@ def predict_proba_many(state: LaplaceGPState, x_star) -> np.ndarray:
     mean, var = predict_latent_many(state, x_star)
     p1 = _class1_probability(state, mean, var)
     return np.column_stack([1.0 - p1, p1])
-
-
-def gp_entropy_many(state: LaplaceGPState, x_star) -> np.ndarray:
-    """Predictive entropy in nats at each row of x_star."""
-    probs = predict_proba_many(state, x_star)
-    return binary_entropy(probs[:, 1])
 
 
 def training_accuracy(state: LaplaceGPState) -> float:

@@ -1,8 +1,6 @@
 """Monte Carlo dropout: average the softmax of M stochastic forward passes.
 
-The reported uncertainty is the entropy of the averaged distribution; the mean
-of the per-pass entropies is also available as a secondary statistic since the
-two differ (Jensen) and both appear in the literature.
+The reported uncertainty is the entropy of the averaged distribution.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnet import MLPParams, ensemble_softmax, forward
-from .numerics import RngStream, entropy_rows
+from .numerics import RngStream
 
 
 @dataclass(frozen=True)
@@ -42,24 +40,7 @@ def _dropout_passes(params: MLPParams, x, cfg: MCDropoutConfig):
 
 
 def mc_average(params: MLPParams, x, cfg: MCDropoutConfig) -> np.ndarray:
-    """Mean softmax over cfg.n_samples stochastic passes; deterministic in seed.
-
-    Accepts a single feature vector or an (n, d) batch; batched inputs draw an
-    independent mask per row within each pass.
+    """(n, C) mean softmax over cfg.n_samples stochastic passes of an (n, d)
+    batch; deterministic in seed. Each row draws its own mask within a pass.
     """
     return ensemble_softmax(_dropout_passes(params, x, cfg), cfg.n_samples)
-
-
-def mc_statistics(params: MLPParams, x, cfg: MCDropoutConfig):
-    """(mean probs, entropy of the average, average per-pass entropy).
-
-    Works on a single vector (scalars returned) or an (n, d) batch (arrays).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mean_probs, mean_entropy = ensemble_softmax(
-        _dropout_passes(params, x, cfg), cfg.n_samples, with_entropy=True
-    )
-    entropy_of_mean = entropy_rows(mean_probs)
-    if x.ndim == 1:
-        return mean_probs, float(entropy_of_mean), float(mean_entropy)
-    return mean_probs, entropy_of_mean, mean_entropy

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import DimensionMismatch, Divergence, NumericalError
-from .numerics import RngStream, entropy_rows, softmax
+from .numerics import RngStream, softmax
 
 log = logging.getLogger(__name__)
 
@@ -93,19 +93,16 @@ def mlp_init(layer_sizes, seed: int = 0, rng: RngStream | None = None) -> MLPPar
 
 
 def forward(params: MLPParams, x, dropout_rate: float = 0.0, rng: RngStream | None = None):
-    """Forward pass; returns (logits, cache) with the cache feeding backward().
+    """Forward pass of an (n, d) batch; returns (logits, cache) with the cache
+    feeding backward().
 
     Without an rng the pass is deterministic and dropout is disabled. With an
     rng and a positive rate, inverted dropout (mask / (1 - rate)) is applied to
     every hidden activation.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != params.layer_sizes[0]:
-        raise DimensionMismatch(
-            f"input dim {a.shape[1]} != first layer dim {params.layer_sizes[0]}"
-        )
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != params.layer_sizes[0]:
+        raise DimensionMismatch(f"input shape {a.shape} != (n, {params.layer_sizes[0]})")
     use_dropout = rng is not None and dropout_rate > 0.0
     inputs, preacts, masks = [], [], []
     n_layers = len(params.layers)
@@ -126,20 +123,8 @@ def forward(params: MLPParams, x, dropout_rate: float = 0.0, rng: RngStream | No
         else:
             masks.append(None)
         a = h
-    logits = a[0] if single else a
-    cache = {"inputs": inputs, "preacts": preacts, "masks": masks, "single": single}
-    return logits, cache
-
-
-def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label], computed via a stable log-sum-exp."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatch("cross_entropy expects a 1-D logit vector")
-    if not 0 <= int(label) < z.size:
-        raise ValueError(f"label {label} out of range for {z.size} classes")
-    m = float(np.max(z))
-    return float(np.log(np.sum(np.exp(z - m))) + m - z[int(label)])
+    cache = {"inputs": inputs, "preacts": preacts, "masks": masks}
+    return a, cache
 
 
 def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -220,23 +205,16 @@ class _Adam:
             x -= scale * self.m[i] / (np.sqrt(self.v[i]) + self.eps)
 
 
-def ensemble_softmax(member_logits, n_members: int, with_entropy: bool = False):
+def ensemble_softmax(member_logits, n_members: int) -> np.ndarray:
     """Mean softmax over an ensemble of n_members networks.
 
-    member_logits(m) returns member m's logits for a single input or a batch.
-    The members are summed one at a time in index order, so the result is
-    bit-reproducible. With with_entropy the mean per-member entropy (nats, per
-    row) comes back too, as (mean probs, mean entropy).
+    member_logits(m) returns member m's logits for the batch. The members are
+    summed one at a time in index order, so the result is bit-reproducible.
     """
-    acc = ent_acc = None
+    acc = None
     for m in range(n_members):
         probs = softmax(member_logits(m))
         acc = probs if acc is None else acc + probs
-        if with_entropy:
-            ent = entropy_rows(probs)
-            ent_acc = ent if ent_acc is None else ent_acc + ent
-    if with_entropy:
-        return acc / n_members, ent_acc / n_members
     return acc / n_members
 
 
@@ -292,31 +270,22 @@ def train(params: MLPParams, d: Dataset, cfg: TrainConfig, loss_history: list | 
 
 def accuracy(params: MLPParams, features, labels) -> float:
     """Deterministic (dropout-free) argmax accuracy."""
-    logits, _ = forward(params, np.atleast_2d(features))
+    logits, _ = forward(params, features)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
 def encode(params: MLPParams, x, upto_layer: int) -> np.ndarray:
-    """Deterministic activations after the first upto_layer layers (dropout off).
+    """Deterministic activations of an (n, d) batch after the first upto_layer
+    layers (dropout off).
 
-    Hidden layers are ReLU-activated; upto_layer == len(layers) reproduces the
+    Hidden layers are ReLU-activated; upto_layer == len(layers) gives the
     forward logits.
     """
-    if not 1 <= upto_layer <= len(params.layers):
-        raise ValueError(f"upto_layer must be in [1, {len(params.layers)}]")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != params.layer_sizes[0]:
-        raise DimensionMismatch(
-            f"input dim {a.shape[1]} != first layer dim {params.layer_sizes[0]}"
-        )
-    for i in range(upto_layer):
-        w, b = params.layers[i]
-        a = a @ w.T + b
-        if i < len(params.layers) - 1:
-            a = np.maximum(a, 0.0)
-    return a[0] if single else a
+    n_layers = len(params.layers)
+    if not 1 <= upto_layer <= n_layers:
+        raise ValueError(f"upto_layer must be in [1, {n_layers}]")
+    a = forward(MLPParams(params.layers[:upto_layer]), x)[0]
+    return a if upto_layer == n_layers else np.maximum(a, 0.0)
 
 
 def flatten_params(params: MLPParams) -> np.ndarray:

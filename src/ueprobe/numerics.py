@@ -127,33 +127,15 @@ def solve_triangular(l, b, side: str = "lower") -> np.ndarray:
     return _scipy_solve_triangular(l, b, lower=(side == "lower"), check_finite=False)
 
 
-def as_prob_vector(p) -> np.ndarray:
-    """Validate a probability vector: entries in [0, 1], summing to 1 within 1e-12."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise NumericalError("probabilities contain non-finite entries")
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-        raise NumericalError("probabilities outside [0, 1]")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
-        raise NumericalError(f"probabilities sum to {float(p.sum())!r}, not 1")
-    return np.clip(p, 0.0, 1.0)
-
-
-def entropy(p) -> float:
-    """Shannon entropy in nats; the 0 * log(0) terms are taken as 0."""
-    p = as_prob_vector(p)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def entropy_rows(p) -> np.ndarray:
-    """Row-wise entropy in nats of an (n, C) matrix of probability vectors."""
+    """Row-wise entropy in nats of an (n, C) matrix of probability vectors.
+
+    The 0 * log(0) terms are taken as 0, and a zero entropy is +0.0, never -0.0.
+    """
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    return -terms.sum(axis=-1)
+    return -terms.sum(axis=-1) + 0.0
 
 
 def binary_entropy(p1) -> np.ndarray | float:
@@ -174,12 +156,6 @@ def std_normal_logcdf(z):
     """log of the standard normal CDF, stable for very negative z."""
     z = np.asarray(z, dtype=np.float64)
     out = _log_ndtr(z)
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_pdf(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
     return float(out) if out.ndim == 0 else out
 
 

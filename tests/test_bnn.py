@@ -377,7 +377,7 @@ class TestPosteriorPredict:
         from ueprobe.nnet import flatten_params
 
         omega = flatten_params(p)
-        x = np.array([0.2, -0.4, 0.9])
+        x = np.array([[0.2, -0.4, 0.9]])
         expected = softmax(forward(p, x)[0])
         got = posterior_predict([omega], x, [3, 6, 2])
         np.testing.assert_allclose(got, expected, atol=1e-15)
@@ -387,7 +387,7 @@ class TestPosteriorPredict:
         from ueprobe.nnet import flatten_params
 
         omega = flatten_params(p)
-        x = np.array([0.5, 0.5, 0.5])
+        x = np.array([[0.5, 0.5, 0.5]])
         one = posterior_predict([omega], x, [3, 6, 2])
         two = posterior_predict([omega, omega], x, [3, 6, 2])
         np.testing.assert_allclose(one, two, atol=1e-15)
@@ -400,4 +400,4 @@ class TestPosteriorPredict:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
-            posterior_predict(np.zeros((0, 5)), np.zeros(3), [3, 6, 2])
+            posterior_predict(np.zeros((0, 5)), np.zeros((1, 3)), [3, 6, 2])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ueprobe.mcdropout import MCDropoutConfig, mc_average, mc_statistics
+from ueprobe.mcdropout import MCDropoutConfig, mc_average
 from ueprobe.nnet import TrainConfig, forward, mlp_init, train
-from ueprobe.numerics import LN2, RngStream, entropy, entropy_rows, softmax
+from ueprobe.numerics import LN2, RngStream, entropy_rows, softmax
 
 
 @pytest.fixture(scope="module")
@@ -14,20 +14,20 @@ def toy_net(toy):
 
 def mc_entropy(params, x, cfg):
     """Entropy in nats of the averaged predictive distribution at one input."""
-    return float(entropy_rows(mc_average(params, x, cfg)))
+    return float(entropy_rows(mc_average(params, x[None, :], cfg))[0])
 
 
 class TestMcAverage:
     def test_vanishing_rate_matches_deterministic(self):
         p = mlp_init([3, 16, 2], seed=1)
-        x = np.array([0.3, -0.5, 1.1])
+        x = np.array([[0.3, -0.5, 1.1]])
         det = softmax(forward(p, x)[0])
         avg = mc_average(p, x, MCDropoutConfig(n_samples=20, dropout_rate=1e-12, seed=5))
         np.testing.assert_allclose(avg, det, atol=1e-9)
 
     def test_single_sample_is_one_stochastic_pass(self):
         p = mlp_init([3, 16, 2], seed=2)
-        x = np.array([0.1, 0.2, 0.3])
+        x = np.array([[0.1, 0.2, 0.3]])
         cfg = MCDropoutConfig(n_samples=1, dropout_rate=0.5, seed=7)
         one = mc_average(p, x, cfg)
         manual = softmax(forward(p, x, dropout_rate=0.5, rng=RngStream(7 ^ 0))[0])
@@ -35,13 +35,13 @@ class TestMcAverage:
 
     def test_deterministic_in_seed(self):
         p = mlp_init([3, 16, 2], seed=3)
-        x = np.array([0.4, 0.5, -0.2])
+        x = np.array([[0.4, 0.5, -0.2]])
         cfg = MCDropoutConfig(n_samples=100, dropout_rate=0.5, seed=9)
         np.testing.assert_array_equal(mc_average(p, x, cfg), mc_average(p, x, cfg))
 
     def test_normalized_for_all_sample_counts(self):
         p = mlp_init([3, 16, 2], seed=4)
-        x = np.array([1.0, 0.0, -1.0])
+        x = np.array([[1.0, 0.0, -1.0]])
         for m in (1, 3, 10, 57):
             avg = mc_average(p, x, MCDropoutConfig(n_samples=m, dropout_rate=0.4, seed=m))
             assert abs(avg.sum() - 1.0) < 1e-12
@@ -56,11 +56,11 @@ class TestMcAverage:
 
     def test_variance_shrinks_with_sample_count(self):
         p = mlp_init([2, 32, 2], seed=6)
-        x = np.array([0.8, -0.3])
+        x = np.array([[0.8, -0.3]])
         variances = []
         for m in (10, 100, 1000):
             draws = [
-                mc_average(p, x, MCDropoutConfig(n_samples=m, dropout_rate=0.5, seed=s))[0]
+                mc_average(p, x, MCDropoutConfig(n_samples=m, dropout_rate=0.5, seed=s))[0, 0]
                 for s in range(10)
             ]
             variances.append(np.var(draws))
@@ -96,21 +96,12 @@ class TestMcEntropy:
         rng = np.random.default_rng(17)
         pts = rng.uniform(-6, 6, size=(100, 2))
         cfg = MCDropoutConfig(n_samples=25, dropout_rate=0.5, seed=33)
-        _, h_of_mean, mean_h = mc_statistics(toy_net, pts, cfg)
+        h_of_mean = entropy_rows(mc_average(toy_net, pts, cfg))
+        mean_h = np.mean([
+            entropy_rows(mc_average(toy_net, pts, MCDropoutConfig(1, 0.5, seed=33 ^ m)))
+            for m in range(25)
+        ], axis=0)
         assert np.all(h_of_mean >= mean_h - 1e-12)
-
-    def test_statistics_single_point_scalars(self, toy_net):
-        cfg = MCDropoutConfig(n_samples=10, dropout_rate=0.5, seed=3)
-        probs, h_mean, mean_h = mc_statistics(toy_net, np.array([0.0, 0.0]), cfg)
-        assert probs.shape == (2,)
-        assert isinstance(h_mean, float) and isinstance(mean_h, float)
-        assert abs(entropy(probs) - h_mean) < 1e-12
-
-    def test_statistics_mean_matches_average_bitwise(self, toy_net):
-        pts = np.random.default_rng(5).uniform(-6, 6, size=(40, 2))
-        cfg = MCDropoutConfig(n_samples=12, dropout_rate=0.5, seed=8)
-        mean_probs = mc_statistics(toy_net, pts, cfg)[0]
-        np.testing.assert_array_equal(mean_probs, mc_average(toy_net, pts, cfg))
 
 
 class TestPerClassMeanEntropy:

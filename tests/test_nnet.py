@@ -9,7 +9,6 @@ from ueprobe.nnet import (
     accuracy,
     backward,
     _cross_entropy_rows,
-    cross_entropy,
     encode,
     ensemble_softmax,
     flatten_params,
@@ -18,7 +17,7 @@ from ueprobe.nnet import (
     train,
     unflatten_params,
 )
-from ueprobe.numerics import LN2, RngStream, entropy_rows, softmax
+from ueprobe.numerics import LN2, RngStream, softmax
 
 HARNESS_ARCHS = [
     [2, 300, 2],
@@ -61,12 +60,12 @@ class TestInit:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         p = MLPParams([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 3)), np.zeros(2))])
-        logits, _ = forward(p, np.array([1.0, -1.0]))
-        np.testing.assert_array_equal(logits, [0.0, 0.0])
+        logits, _ = forward(p, np.array([[1.0, -1.0]]))
+        np.testing.assert_array_equal(logits, [[0.0, 0.0]])
 
     def test_zero_dropout_rate_matches_deterministic(self):
         p = mlp_init([4, 8, 2], seed=1)
-        x = np.array([0.5, -0.2, 0.1, 0.9])
+        x = np.array([[0.5, -0.2, 0.1, 0.9]])
         det, _ = forward(p, x)
         stoch, _ = forward(p, x, dropout_rate=0.0, rng=RngStream(2))
         np.testing.assert_array_equal(det, stoch)
@@ -80,67 +79,79 @@ class TestForward:
         x = np.array([1.0, 2.0])
         h = np.maximum(w1 @ x + b1, 0.0)  # [0, 4.2]
         expected = w2 @ h + b2  # [0, 4.7]
-        logits, _ = forward(p, x)
-        np.testing.assert_allclose(logits, expected, atol=1e-15)
-        np.testing.assert_allclose(logits, [0.0, 4.7], atol=1e-15)
+        logits, _ = forward(p, x[None, :])
+        np.testing.assert_allclose(logits[0], expected, atol=1e-15)
+        np.testing.assert_allclose(logits[0], [0.0, 4.7], atol=1e-15)
 
     def test_batch_matches_single(self):
         p = mlp_init([3, 5, 2], seed=4)
         xs = np.random.default_rng(0).normal(size=(6, 3))
         batch_logits, _ = forward(p, xs)
         for i in range(6):
-            single, _ = forward(p, xs[i])
-            np.testing.assert_allclose(batch_logits[i], single, atol=1e-12)
+            single, _ = forward(p, xs[i : i + 1])
+            np.testing.assert_allclose(batch_logits[i], single[0], atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = mlp_init([3, 2], seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(p, np.zeros(4))
+            forward(p, np.zeros((1, 4)))
+
+    def test_vector_input_rejected(self):
+        p = mlp_init([3, 2], seed=0)
+        with pytest.raises(DimensionMismatch):
+            forward(p, np.zeros(3))
 
     def test_inverted_dropout_expectation(self):
         # mean over many masks approximates the deterministic pass within 3 MC SEs
         p = mlp_init([4, 8, 2], seed=6)
-        x = np.array([0.7, -0.4, 1.2, 0.3])
+        x = np.array([[0.7, -0.4, 1.2, 0.3]])
         det, _ = forward(p, x)
         n = 100_000
         tiled = np.tile(x, (n, 1))
         stoch, _ = forward(p, tiled, dropout_rate=0.5, rng=RngStream(77))
         mc_mean = stoch.mean(axis=0)
         mc_se = stoch.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(mc_mean - det) <= 3.0 * mc_se + 1e-12)
+        assert np.all(np.abs(mc_mean - det[0]) <= 3.0 * mc_se + 1e-12)
+
+
+def _cross_entropy(logits, label: int) -> float:
+    """The cross-entropy of one logit vector, as a one-row batch."""
+    return float(_cross_entropy_rows(np.atleast_2d(logits), np.array([label]))[0])
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        assert abs(cross_entropy(np.array([0.0, 0.0]), 0) - LN2) < 1e-15
+        assert abs(_cross_entropy(np.array([0.0, 0.0]), 0) - LN2) < 1e-15
 
     def test_confident_correct(self):
         # log(1 + exp(-20)) = 2.0611536e-9
-        val = cross_entropy(np.array([10.0, -10.0]), 0)
+        val = _cross_entropy(np.array([10.0, -10.0]), 0)
         assert abs(val - np.log1p(np.exp(-20.0))) < 1e-15
         assert abs(val - 2.06e-9) < 0.01e-9
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=4)
-        assert abs(cross_entropy(z, 2) - cross_entropy(z + 500.0, 2)) < 1e-12
+        assert abs(_cross_entropy(z, 2) - _cross_entropy(z + 500.0, 2)) < 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            assert cross_entropy(rng.normal(size=3), int(rng.integers(3))) >= 0.0
+        logits = rng.normal(size=(20, 3))
+        assert np.all(_cross_entropy_rows(logits, rng.integers(0, 3, size=20)) >= 0.0)
 
     def test_label_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros(2), 2)
+        with pytest.raises(IndexError):
+            _cross_entropy(np.zeros(2), 2)
 
     def test_rows_match_single_point(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(6, 4)) * 5.0
         labels = rng.integers(0, 4, size=6)
         rows = _cross_entropy_rows(logits, labels)
-        expected = [cross_entropy(z, int(y)) for z, y in zip(logits, labels)]
-        np.testing.assert_allclose(rows, expected, atol=1e-12)
+        expected = [_cross_entropy(z, int(y)) for z, y in zip(logits, labels)]
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_allclose(rows, -np.log(softmax(logits)[np.arange(6), labels]),
+                                   atol=1e-12)
 
 
 class TestEnsembleSoftmax:
@@ -156,16 +167,8 @@ class TestEnsembleSoftmax:
         np.testing.assert_array_equal(ensemble_softmax(logits.__getitem__, 7), acc / 7)
 
     def test_single_member_is_its_softmax(self):
-        z = self._members(1, (3,))[0]
+        z = self._members(1, (1, 3))[0]
         np.testing.assert_array_equal(ensemble_softmax(lambda m: z, 1), softmax(z) / 1)
-
-    def test_mean_entropy(self):
-        logits = self._members(4, (6, 2))
-        probs, mean_ent = ensemble_softmax(logits.__getitem__, 4, with_entropy=True)
-        np.testing.assert_array_equal(probs, ensemble_softmax(logits.__getitem__, 4))
-        expected = np.mean([entropy_rows(softmax(z)) for z in logits], axis=0)
-        np.testing.assert_allclose(mean_ent, expected, atol=1e-14)
-        assert np.all(entropy_rows(probs) >= mean_ent - 1e-12)
 
 
 class TestBackward:
@@ -174,8 +177,8 @@ class TestBackward:
         p = mlp_init([3, 2], seed=9)
         x = np.array([0.4, -1.0, 2.0])
         label = 1
-        logits, _ = forward(p, x)
-        delta = softmax(logits)
+        logits, _ = forward(p, x[None, :])
+        delta = softmax(logits[0])
         delta[label] -= 1.0
         _, grads = backward(p, x, [label])
         np.testing.assert_allclose(grads[0][0], np.outer(delta, x), atol=1e-14)
@@ -285,30 +288,40 @@ class TestTrain:
 class TestEncode:
     def test_full_depth_equals_logits(self):
         p = mlp_init([3, 5, 2], seed=4)
-        x = np.array([0.1, 0.2, 0.3])
+        x = np.array([[0.1, 0.2, 0.3]])
         logits, _ = forward(p, x)
         np.testing.assert_array_equal(encode(p, x, 2), logits)
 
     def test_encoder_dimension(self):
         p = mlp_init([784, 600, 20, 2], seed=0)
-        vec = encode(p, np.zeros(784), 2)
-        assert vec.shape == (20,)
+        vec = encode(p, np.zeros((1, 784)), 2)
+        assert vec.shape == (1, 20)
 
     def test_zero_input_zero_biases(self):
         p = mlp_init([4, 6, 3], seed=1)
-        np.testing.assert_array_equal(encode(p, np.zeros(4), 1), np.zeros(6))
+        np.testing.assert_array_equal(encode(p, np.zeros((1, 4)), 1), np.zeros((1, 6)))
 
     def test_hidden_layers_are_rectified(self):
         p = mlp_init([3, 8, 2], seed=2)
-        h = encode(p, np.array([1.0, -2.0, 0.5]), 1)
+        h = encode(p, np.array([[1.0, -2.0, 0.5]]), 1)
         assert np.all(h >= 0.0)
+
+    def test_matches_a_per_layer_loop_bitwise(self):
+        p = mlp_init([5, 16, 8, 2], seed=3)
+        x = np.random.default_rng(4).normal(size=(7, 5))
+        a = x
+        for k, (w, b) in enumerate(p.layers[:2], start=1):
+            a = np.maximum(a @ w.T + b, 0.0)
+            np.testing.assert_array_equal(encode(p, x, k), a)
 
     def test_bounds(self):
         p = mlp_init([3, 8, 2], seed=2)
         with pytest.raises(ValueError):
-            encode(p, np.zeros(3), 0)
+            encode(p, np.zeros((1, 3)), 0)
         with pytest.raises(ValueError):
-            encode(p, np.zeros(3), 3)
+            encode(p, np.zeros((1, 3)), 3)
+        with pytest.raises(DimensionMismatch):
+            encode(p, np.zeros(3), 1)
 
 
 class TestFlatten:
