@@ -7,6 +7,7 @@ inference, and Hamiltonian Monte Carlo.
 
 from .bnn import (
     HMCConfig,
+    MFVIConfig,
     MeanFieldPosterior,
     PosteriorChain,
     elbo_estimate,

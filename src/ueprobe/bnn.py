@@ -96,6 +96,23 @@ class HMCConfig:
             raise ValueError("prior_precision must be > 0")
 
 
+@dataclass(frozen=True)
+class MFVIConfig:
+    """The ELBO's KL weight and prior, and the posterior draws used to predict."""
+
+    kl_weight: float = 0.1
+    prior_precision: float = 1.0
+    predict_draws: int = 100
+
+    def __post_init__(self):
+        if self.kl_weight < 0:
+            raise ValueError("kl_weight must be >= 0")
+        if self.prior_precision <= 0:
+            raise ValueError("prior_precision must be > 0")
+        if self.predict_draws < 1:
+            raise ValueError("predict_draws must be >= 1")
+
+
 @dataclass
 class PosteriorChain:
     """Retained HMC samples with per-iteration energies and accept flags."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import store
-from .bnn import HMCConfig, hmc_sample, mfvi_train, posterior_predict, sample_posterior
+from .bnn import HMCConfig, MFVIConfig, hmc_sample, mfvi_train, posterior_predict, sample_posterior
 from .datasets import Dataset, filter_classes, grid2d, load_idx, make_toy2d, probe_sweep
 from .errors import CheckFailure, NumericalError
 from .gp import (
@@ -126,6 +126,16 @@ def _integer(value) -> int:
     return int(_number(value))
 
 
+def _at_least(minimum: int):
+    """The integer type, refusing values below ``minimum``."""
+    def parse(value) -> int:
+        if _integer(value) < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return _integer(value)
+
+    return parse
+
+
 def _link(value) -> str:
     if value not in LINKS:
         raise ValueError(f"expected one of {LINKS}, got {value!r}")
@@ -199,10 +209,10 @@ _OPTIONS = {
     },
     "mnist-interp": {
         **_MODEL_DIRS, **_MNIST_FILES, **_MNIST_MCDROPOUT,
-        **_block("", n_pairs=(100, _integer), t_steps=(31, _integer)),
+        **_block("", n_pairs=(100, _integer), t_steps=(31, _at_least(2))),
         **_block("encoder.", arch=((784, 600, 20, 2), _arch), dropout=(0.6, _number),
                  epochs=(20, _integer), learning_rate=(1e-3, _number), batch_size=(64, _integer)),
-        **_gp(grid_scale="median"), **_block("gp.", subsample=(2000, _integer)),
+        **_gp(grid_scale="median"), **_block("gp.", subsample=(2000, _at_least(1))),
         **_mfvi(arch=(784, 1024, 128, 2), epochs=15),
         **_hmc(arch=(784, 1024, 128, 2), n_samples=60, burn_in=50, map_epochs=5),
     },
@@ -328,14 +338,15 @@ def _build_mcdropout(seed: int, opt: dict):
 
 def _build_mfvi(seed: int, opt: dict):
     arch, tc = opt["mfvi.arch"], _train_config(opt, "mfvi", seed)
+    cfg = MFVIConfig(opt["mfvi.kl_weight"], opt["mfvi.prior_precision"], opt["mfvi.predict_draws"])
 
     def fit(d: Dataset, models: _ModelStore):
         posterior = models.obtain("mfvi", store.load_mfvi, store.save_mfvi, lambda: mfvi_train(
-            arch, d, epochs=tc.epochs, kl_weight=opt["mfvi.kl_weight"],
-            prior_precision=opt["mfvi.prior_precision"], seed=derive_seed(seed, "mfvi"),
+            arch, d, epochs=tc.epochs, kl_weight=cfg.kl_weight,
+            prior_precision=cfg.prior_precision, seed=derive_seed(seed, "mfvi"),
             learning_rate=tc.learning_rate, batch_size=tc.batch_size))
         draws = sample_posterior(
-            posterior, opt["mfvi.predict_draws"], RngStream(derive_seed(seed, "mfvi-eval"))
+            posterior, cfg.predict_draws, RngStream(derive_seed(seed, "mfvi-eval"))
         )
         mean_net = posterior.mean_params()
         info = {"train_accuracy": accuracy(mean_net, d.features, d.labels)}

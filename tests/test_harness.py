@@ -206,6 +206,9 @@ class TestOptions:
         ("mcdropout.n_passes", 0),
         ("mcdropout.dropout", 0.0),
         ("mfvi.batch_size", 0),
+        ("mfvi.kl_weight", -1),
+        ("mfvi.prior_precision", -1),
+        ("mfvi.predict_draws", 0),
         ("gp.signal_variance", -1.0),
     ])
     def test_bad_value_fails_before_any_training(self, monkeypatch, key, value):
@@ -316,6 +319,20 @@ class TestSyntheticMnistPipeline:
         for m, curve in curves.items():
             for t, values in zip(t_grid, per_t[m]):
                 assert abs(curve[f"{t:.9g}"] - np.mean(values)) < 1e-9
+
+    @pytest.mark.parametrize("key, value", [("t_steps", 0), ("t_steps", 1), ("gp.subsample", 0)])
+    def test_bad_count_fails_before_loading_or_training(self, monkeypatch, synthetic_mnist,
+                                                         key, value):
+        def called(*args, **kwargs):
+            raise AssertionError("IDX files loaded or a method trained before the options were checked")
+
+        for name in ("load_idx", "train", "fit_hyperparams"):
+            monkeypatch.setattr(harness, name, called)
+        opts = {**TINY_MNIST_METHOD_OPTS, key: value,
+                **{f"mnist_{k}": path for k, path in synthetic_mnist.items()}}
+        with pytest.raises(ValueError, match=f"option {key}"):
+            run_mnist_interp(ExperimentConfig(experiment="mnist-interp",
+                                              methods=("gp", "mcdropout"), options=opts))
 
     def test_digit_table_mechanics(self, synthetic_mnist):
         opts = {
