@@ -129,9 +129,10 @@ def _integer(value) -> int:
 def _at_least(minimum: int):
     """The integer type, refusing values below ``minimum``."""
     def parse(value) -> int:
-        if _integer(value) < minimum:
+        number = _integer(value)
+        if number < minimum:
             raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
-        return _integer(value)
+        return number
 
     return parse
 
